@@ -1,8 +1,6 @@
-"""Small shared helpers: popcounts, masks, worker-count lookup."""
+"""Small shared helpers: popcounts and masks."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -21,14 +19,3 @@ def popcounts(n: int) -> np.ndarray:
 def mask_bits(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
 
-
-def worker_count() -> int:
-    """Worker cap from INFLUENCE_LAB_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("INFLUENCE_LAB_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        return os.cpu_count() or 1
-    return value

@@ -31,7 +31,7 @@ from scipy.optimize import linprog
 
 from ._util import popcounts
 from .errors import CapacityError, ConsistencyError, InputError, SolverError
-from .fourier import spectral_degree, wht
+from .fourier import butterfly, spectral_degree, wht
 from .truthtable import TruthTable
 
 LP_MAX_VARS = 12  # 2*2^12 constraints; refuse beyond rather than grind
@@ -53,20 +53,10 @@ class MultilinearPoly:
 
     def values(self) -> np.ndarray:
         """p at every input, index convention shared with TruthTable."""
-        size = 1 << self.n
-        dense = np.zeros(size)
-        for s, c in self.coeffs.items():
-            dense[s] = c
+        dense = np.zeros(1 << self.n)
+        dense[list(self.coeffs)] = list(self.coeffs.values())
         # inverse character transform: value[x] = sum_s dense[s] * (-1)^(s.x)
-        h = 1
-        while h < size:
-            view = dense.reshape(-1, 2, h)
-            a = view[:, 0, :].copy()
-            b = view[:, 1, :]
-            view[:, 0, :] = a + b
-            view[:, 1, :] = a - b
-            h *= 2
-        return dense
+        return butterfly(dense, np.float64)
 
     def evaluate(self, x) -> float:
         total = 0.0

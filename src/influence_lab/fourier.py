@@ -57,31 +57,36 @@ class FourierSpectrum:
         return profile
 
 
-def _butterfly(values: np.ndarray) -> np.ndarray:
-    """In-place-style fast transform; returns sum_x v[x] * (-1)^(s.x) per mask s."""
-    out = values.astype(np.int64, copy=True)
+def butterfly(values: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Fast transform along axis 0, on a copy in the given dtype.
+
+    out[s] = sum_x values[x] * (-1)^(s.x) for every mask s; any trailing axes
+    are carried along, so a (2^n, k) stack transforms k vectors at once. The
+    transform is its own inverse up to the factor 2^n.
+    """
+    out = np.array(values, dtype=dtype, order="C")
     size = out.shape[0]
     h = 1
     while h < size:
-        view = out.reshape(-1, 2, h)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :]
-        view[:, 0, :] = a + b
-        view[:, 1, :] = a - b
+        view = out.reshape(-1, 2, h, *out.shape[1:])
+        a = view[:, 0].copy()
+        b = view[:, 1]
+        view[:, 0] += b
+        np.subtract(a, b, out=b)
         h *= 2
     return out
 
 
 def wht(t: TruthTable) -> FourierSpectrum:
     """Exact spectrum of the sign view, O(n 2^n) integer additions."""
-    sums = _butterfly(t.signs())
+    sums = butterfly(t.signs())
     sums.flags.writeable = False
     return FourierSpectrum(t.n, sums)
 
 
 def inverse_wht(spec: FourierSpectrum) -> TruthTable:
     """Rebuild the table; errors if the spectrum is not that of a +-1 function."""
-    values = _butterfly(spec.sums)
+    values = butterfly(spec.sums)
     scale = spec.denominator
     plus = values == scale
     minus = values == -scale
@@ -122,6 +127,7 @@ def nonzero_entries(spec: FourierSpectrum) -> list[dict]:
 __all__ = [
     "FourierSpectrum",
     "avg_influence",
+    "butterfly",
     "inverse_wht",
     "nonzero_entries",
     "spectral_degree",

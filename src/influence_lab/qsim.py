@@ -17,24 +17,28 @@ Register layout: an index register with one basis state per oracle bit, a
 index-major then answer then work. The computational-basis query gate is
 |i, a, w> -> |i, a XOR x_i, w>.
 
-A direct per-oracle simulator (simulate_direct) provides the independent
-route used by the verify suite: reconstructing the Fourier state at x must
-match it for every oracle.
+Over all oracles at once, phi is one inverse Walsh-Hadamard transform of the
+stacked coefficients along the mask axis: oracle_states gives every phi(x)
+that way, and the acceptance profile and the gap check read from it.
+
+reconstruct (one oracle, summed mask by mask) and simulate_direct (one
+oracle, plain computational basis) are the per-oracle references: the verify
+suite and the tests check the batched states against both for every oracle.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from ._util import hamming_weight, worker_count
+from ._util import hamming_weight
 from .errors import CapacityError, ConsistencyError, InputError
+from .fourier import butterfly
 from .truthtable import TruthTable
 
 NORM_TOL = 1e-9
@@ -42,6 +46,7 @@ _PRUNE_SQ = 1e-24  # squared-norm floor; drops exact-zero transport residue
 _SQRT2 = math.sqrt(2.0)
 
 SERIAL_READ_MAX_VARS = 6  # work register holds all n bits read so far
+_BLOCK_BYTES = 64 << 20  # cap on one (2^n x columns) complex block of oracle states
 
 
 @dataclass(frozen=True)
@@ -66,18 +71,14 @@ class RegisterLayout:
 @dataclass(frozen=True)
 class Unitary:
     matrix: np.ndarray
-    validated: bool = field(default=False, compare=False)
 
-    def require_unitary(self) -> None:
-        if self.validated:
-            return
+    def __post_init__(self):
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError("unitary must be a square matrix")
         defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
         if defect > NORM_TOL:
             raise InputError(f"matrix is not unitary (defect {defect:.3e})")
-        object.__setattr__(self, "validated", True)
 
 
 class Query:
@@ -105,7 +106,6 @@ class Algorithm:
             if isinstance(s, Unitary):
                 if s.matrix.shape != (self.layout.dim, self.layout.dim):
                     raise InputError("unitary dimension does not match layout")
-                s.require_unitary()
             elif not isinstance(s, Query):
                 raise InputError(f"unknown step {s!r}")
 
@@ -138,15 +138,27 @@ def initial_state(layout: RegisterLayout) -> FourierState:
 
 
 def apply_unitary(state: FourierState, u: Unitary | np.ndarray) -> FourierState:
-    """Coefficient-wise action; the support set never changes."""
+    """Coefficient-wise action, one GEMM over the stacked coefficients.
+
+    The support set never changes. A real matrix acts on the real and
+    imaginary parts separately, so it is never cast to complex.
+    """
     if isinstance(u, np.ndarray):
         u = Unitary(u)
     if u.matrix.shape != (state.layout.dim, state.layout.dim):
         raise InputError("unitary dimension does not match layout")
-    u.require_unitary()
-    m = u.matrix
-    for s in state.amps:
-        state.amps[s] = m @ state.amps[s]
+    if not state.amps:
+        return state
+    masks = list(state.amps)
+    coeffs = np.stack([state.amps[s] for s in masks])  # one coefficient per row
+    mt = u.matrix.T
+    if np.iscomplexobj(mt):
+        out = coeffs @ mt
+    else:
+        out = np.empty_like(coeffs)
+        out.real = np.ascontiguousarray(coeffs.real) @ mt
+        out.imag = np.ascontiguousarray(coeffs.imag) @ mt
+    state.amps = dict(zip(masks, out))
     return state
 
 
@@ -252,24 +264,34 @@ class ErrorProfile(NamedTuple):
     queries: int
 
 
+def oracle_states(state: FourierState, columns=None) -> np.ndarray:
+    """phi(x) for every oracle x at once: row x of the (2^n, columns) result.
+
+    One inverse transform of the stacked coefficients along the mask axis.
+    columns selects basis indices (all of them by default).
+    """
+    cols = np.arange(state.layout.dim) if columns is None else np.asarray(columns, dtype=np.int64)
+    dense = np.zeros((1 << state.layout.n_index, cols.size), dtype=np.complex128)
+    if state.amps:
+        masks = np.fromiter(state.amps, dtype=np.int64, count=len(state.amps))
+        dense[masks] = np.stack(list(state.amps.values()))[:, cols]
+    return butterfly(dense, np.complex128)
+
+
 def acceptance_probabilities(state: FourierState, accept: frozenset) -> np.ndarray:
-    """Pr[measured basis index is accepting] for every oracle, in order."""
-    n = state.layout.n_index
-    mask = np.zeros(state.layout.dim, dtype=bool)
-    mask[list(accept)] = True
-    oracles = range(1 << n)
+    """Pr[measured basis index is accepting] for every oracle, in order.
 
-    def prob(x: int) -> float:
-        v = reconstruct(state, x)
-        return float(np.sum(np.abs(v[mask]) ** 2))
-
-    workers = worker_count()
-    if workers > 1 and (1 << n) >= 64:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            probs = list(pool.map(prob, oracles))
-    else:
-        probs = [prob(x) for x in oracles]
-    return np.array(probs)
+    Transforms only the accepting columns, a block of them at a time, so the
+    working array stays near _BLOCK_BYTES whatever the oracle count.
+    """
+    size = 1 << state.layout.n_index
+    cols = sorted(accept)
+    block = max(1, _BLOCK_BYTES // (16 * size))
+    probs = np.zeros(size)
+    for lo in range(0, len(cols), block):
+        phi = oracle_states(state, cols[lo : lo + block])
+        probs += np.sum(phi.real**2 + phi.imag**2, axis=1)
+    return probs
 
 
 def profile_state(state: FourierState, accept: frozenset, table: TruthTable) -> ErrorProfile:
@@ -339,7 +361,7 @@ def gap_check(state: FourierState, table: TruthTable, eps: float, neighbors_only
     if not neighbors_only and n > 5:
         raise CapacityError("full pair scan is capped at n=5; use neighbors_only")
     size = 1 << n
-    vecs = [reconstruct(state, x) for x in range(size)]
+    vecs = oracle_states(state)
     bits = table.bits()
     threshold = 2 - 4 * math.sqrt(max(0.0, eps))
     min_gap = None
@@ -520,6 +542,7 @@ __all__ = [
     "gap_check",
     "grover",
     "initial_state",
+    "oracle_states",
     "profile_state",
     "reconstruct",
     "run",

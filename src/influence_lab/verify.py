@@ -129,6 +129,7 @@ def suite_bounds(n_max: int = 6, seed: int = 3, samples: int = 20) -> list[Check
 def suite_qsim(n_max: int = 4, seed: int = 4, samples: int = 5) -> list[Check]:
     checks = []
     bad_agree = None
+    bad_batched = None
     bad_invariant = None
     bad_displacement = None
 
@@ -151,6 +152,12 @@ def suite_qsim(n_max: int = 4, seed: int = 4, samples: int = 5) -> list[Check]:
                 if np.max(np.abs(qsim.reconstruct(state, x) - direct)) > 1e-9:
                     bad_agree = f"{label} oracle x={x}"
                     break
+        if bad_batched is None:
+            batched = qsim.oracle_states(state)
+            for x in range(1 << alg.layout.n_index):
+                if np.max(np.abs(batched[x] - qsim.reconstruct(state, x))) > 1e-12:
+                    bad_batched = f"{label} oracle x={x}"
+                    break
         if bad_displacement is None:
             for k in (1, 3):
                 fast = qsim.displacement_statistic(state, k)
@@ -160,6 +167,7 @@ def suite_qsim(n_max: int = 4, seed: int = 4, samples: int = 5) -> list[Check]:
                     break
     checks.append(Check("qsim", "norm and support invariants hold on every run", bad_invariant is None, bad_invariant))
     checks.append(Check("qsim", "Fourier picture matches the direct simulator", bad_agree is None, bad_agree))
+    checks.append(Check("qsim", "batched oracle states match per-oracle reconstruction", bad_batched is None, bad_batched))
     checks.append(Check("qsim", "displacement statistic matches pair enumeration", bad_displacement is None, bad_displacement))
     return checks
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from influence_lab import bounds, fourier
+from influence_lab import bounds, fourier, qsim
 from influence_lab.errors import CapacityError, InputError
 from influence_lab.qsim import (
     QUERY,
@@ -20,6 +20,7 @@ from influence_lab.qsim import (
     gap_check,
     grover,
     initial_state,
+    oracle_states,
     profile_state,
     reconstruct,
     run,
@@ -92,6 +93,20 @@ def test_apply_unitary_identity_and_support():
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_apply_unitary_matches_per_mask_product():
+    layout = RegisterLayout(3, 2)
+    rng = np.random.default_rng(4)
+    shape = (layout.dim, layout.dim)
+    real, _ = np.linalg.qr(rng.normal(size=shape))
+    cplx, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    for m in (real, cplx):
+        state = random_state(layout, [0b000, 0b011, 0b101], 6)
+        expected = {s: m @ v for s, v in state.amps.items()}
+        apply_unitary(state, m)
+        for s, v in expected.items():
+            assert np.max(np.abs(state.amps[s] - v)) < 1e-12
+
+
 def test_apply_unitary_rejects_non_unitary():
     layout = RegisterLayout(2, 1)
     state = initial_state(layout)
@@ -100,6 +115,18 @@ def test_apply_unitary_rejects_non_unitary():
         apply_unitary(state, bad)
     with pytest.raises(InputError):
         apply_unitary(state, np.eye(3))
+
+
+def test_unitary_validated_when_built():
+    layout = RegisterLayout(2, 1)
+    shear = np.eye(layout.dim)
+    shear[0, 1] = 0.5
+    with pytest.raises(InputError, match="not unitary"):
+        Unitary(shear)
+    with pytest.raises(InputError, match="not unitary"):
+        apply_unitary(initial_state(layout), shear)
+    with pytest.raises(InputError, match="square"):
+        Unitary(np.ones((2, 3)))
 
 
 def test_query_leaves_answer_plus_alone():
@@ -179,9 +206,11 @@ def test_fourier_matches_direct_all_oracles():
             algs.append(deutsch_parity(n))
         for alg in algs:
             state = run(alg)
+            batched = oracle_states(state)
             for x in range(1 << n):
                 gap = np.max(np.abs(reconstruct(state, x) - simulate_direct(alg, x)))
                 assert gap < 1e-9
+                assert np.max(np.abs(batched[x] - reconstruct(state, x))) < 1e-12
 
 
 def test_serial_read_exact_for_any_function():
@@ -199,17 +228,27 @@ def test_serial_read_and2():
     assert prof.worst < 1e-9
 
 
-def test_profile_respects_thread_cap(monkeypatch):
-    t = random_table(6, 8)  # 64 oracles crosses the fan-out threshold
-    alg = serial_read(t)
-    state = run(alg)
-    serial = profile_state(state, alg.accept, t)
-    monkeypatch.setenv("INFLUENCE_LAB_THREADS", "3")
-    threaded = profile_state(state, alg.accept, t)
-    assert np.array_equal(serial.per_oracle, threaded.per_oracle)
-    monkeypatch.setenv("INFLUENCE_LAB_THREADS", "not-a-number")
-    fallback = profile_state(state, alg.accept, t)
-    assert np.array_equal(serial.per_oracle, fallback.per_oracle)
+def test_profile_matches_per_oracle_loop(monkeypatch):
+    # small blocks: 3 columns per block at n = 6, one per block at n = 8
+    monkeypatch.setattr(qsim, "_BLOCK_BYTES", 3 * 16 * 64)
+    calls = []
+
+    def counted(state, columns=None):
+        calls.append(len(columns))
+        return oracle_states(state, columns)
+
+    monkeypatch.setattr(qsim, "oracle_states", counted)
+    t6 = random_table(6, 8)
+    for alg, t in ((serial_read(t6), t6), (grover(8, 2), builtin("or", 8))):
+        state = run(alg)
+        accept = sorted(alg.accept)
+        calls.clear()
+        prof = profile_state(state, alg.accept, t)
+        assert len(calls) > 1 and sum(calls) == len(accept)
+        for x in range(1 << t.n):
+            p1 = float(np.sum(np.abs(reconstruct(state, x)[accept]) ** 2))
+            expected = 1.0 - p1 if t.bit_at(x) else p1
+            assert abs(prof.per_oracle[x] - expected) < 1e-12
 
 
 def test_serial_read_capacity():
