@@ -17,6 +17,8 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from . import approxdeg, bounds, dsl, fourier, measures, qsim
 from .errors import CapacityError, InputError, ParseError, SolverError
 from .truthtable import TruthTable, builtin, read_table, table_id
@@ -68,15 +70,13 @@ def _load_table(args) -> tuple[TruthTable, dict]:
 
 
 def _spectrum_section(spec, dump: bool) -> dict:
-    entries = fourier.nonzero_entries(spec)
-    top = sorted(entries, key=lambda e: (-abs(e["coeff_num"]), e["s"]))[:_TOP_COEFFS]
     section = {
         "degree": fourier.spectral_degree(spec),
-        "nonzero_count": len(entries),
-        "top_coefficients": top,
+        "nonzero_count": int(np.count_nonzero(spec.sums)),
+        "top_coefficients": fourier.top_entries(spec, _TOP_COEFFS),
     }
     if dump:
-        section["entries"] = entries
+        section["entries"] = fourier.nonzero_entries(spec)
     return section
 
 

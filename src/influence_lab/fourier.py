@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -48,13 +49,18 @@ class FourierSpectrum:
         return Fraction(total, self.denominator * self.denominator)
 
     def weight_profile(self) -> list[int]:
-        """A_j = sum of squared integer sums over masks of popcount j."""
-        sq = (self.sums * self.sums).astype(object)
-        profile = [0] * (self.n + 1)
-        pc = popcounts(self.n)
-        for j in range(self.n + 1):
-            profile[j] = int(sq[pc == j].sum())
-        return profile
+        """A_j = sum of squared integer sums over masks of popcount j.
+
+        Computed once per spectrum; every call returns a fresh list.
+        """
+        return list(self._weight_profile)
+
+    @cached_property
+    def _weight_profile(self) -> tuple[int, ...]:
+        # exact in int64: by Parseval the squares of a +-1 source sum to 4^n <= 2^40
+        profile = np.zeros(self.n + 1, dtype=np.int64)
+        np.add.at(profile, popcounts(self.n), self.sums * self.sums)
+        return tuple(profile.tolist())
 
 
 def butterfly(values: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -115,13 +121,24 @@ def avg_influence(spec: FourierSpectrum) -> Fraction:
     return Fraction(num, spec.denominator * spec.denominator * spec.n)
 
 
+def _entries(spec: FourierSpectrum, masks: np.ndarray) -> list[dict]:
+    den = spec.denominator
+    return [
+        {"s": s, "coeff_num": c, "coeff_den": den}
+        for s, c in zip(masks.tolist(), spec.sums[masks].tolist())
+    ]
+
+
 def nonzero_entries(spec: FourierSpectrum) -> list[dict]:
     """Export form: {"s", "coeff_num", "coeff_den"} for nonzero masks only."""
-    masks = np.nonzero(spec.sums)[0]
-    return [
-        {"s": int(s), "coeff_num": int(spec.sums[s]), "coeff_den": spec.denominator}
-        for s in masks
-    ]
+    return _entries(spec, np.flatnonzero(spec.sums))
+
+
+def top_entries(spec: FourierSpectrum, count: int) -> list[dict]:
+    """The count largest |coefficients| in export form; ties go to the smaller mask."""
+    masks = np.flatnonzero(spec.sums)
+    order = np.lexsort((masks, -np.abs(spec.sums[masks])))
+    return _entries(spec, masks[order[:count]])
 
 
 __all__ = [
@@ -131,5 +148,6 @@ __all__ = [
     "inverse_wht",
     "nonzero_entries",
     "spectral_degree",
+    "top_entries",
     "wht",
 ]

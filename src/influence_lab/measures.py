@@ -9,6 +9,12 @@ no sensitive single-removal subset, then packed by branch and bound. Every
 truly minimal sensitive block passes that local test and every candidate is
 still sensitive, so the packing optimum over the candidates equals the
 optimum over all sensitive blocks.
+
+The scan over all inputs shares work. Inputs with the same sensitive
+coordinates get their candidates from one batched gather, and the packing of
+each distinct (candidate set, free variable count) is solved once and reused:
+the branch and bound depends only on that pair, so the memo cannot change a
+value or a witness.
 """
 
 from __future__ import annotations
@@ -24,7 +30,12 @@ from ._util import hamming_weight
 from .errors import CapacityError, InputError
 from .truthtable import TruthTable
 
-BS_EXACT_MAX_VARS = 16  # the 2^16-input scan is a documented multi-minute job
+BS_EXACT_MAX_VARS = 16  # the 2^16-input scan can take minutes on low-sensitivity f
+# the block-sensitivity scan gathers inputs x subsets in batches: about 2^18
+# elements keeps the index array in cache, and at least 16 inputs spreads each
+# pass's loop overhead when subcubes are large
+_BATCH_ELEMENTS = 1 << 18
+_BATCH_MIN_INPUTS = 16
 
 
 class MaxSensitivity(NamedTuple):
@@ -123,36 +134,44 @@ def _spread_table(free_coords: tuple[int, ...]) -> np.ndarray:
     return spread
 
 
-def _subcube_candidates(
-    bits: np.ndarray, x: int, free_coords: tuple[int, ...], spread: np.ndarray
-) -> list[int]:
-    """Minimal-style sensitive blocks at x inside the insensitive coordinates.
+def _subcube_candidates(bits: np.ndarray, xs: np.ndarray, spread: np.ndarray) -> list[list[int]]:
+    """Minimal-style sensitive blocks inside the insensitive coordinates, per input.
 
-    A truly minimal sensitive block of size >= 2 cannot contain a sensitive
-    coordinate (that singleton would be a sensitive proper subset), so only
-    subsets of the insensitive coordinates need enumeration. Blocks kept here
-    are sensitive with no sensitive single-removal subset: a superset of the
-    truly minimal ones, so the packing optimum is unchanged.
+    All inputs in xs share one set of sensitive coordinates; spread lists the
+    subsets of the others. A truly minimal sensitive block of size >= 2 cannot
+    contain a sensitive coordinate (that singleton would be a sensitive proper
+    subset), so only subsets of the insensitive coordinates need enumeration.
+    Blocks kept here are sensitive with no sensitive single-removal subset: a
+    superset of the truly minimal ones, so the packing optimum is unchanged.
     """
-    m = len(free_coords)
-    if m == 0:
-        return []
-    sens = bits[spread ^ x] != bits[x]
-    if not bool(sens.any()):
-        return []
+    blocks: list[list[int]] = [[] for _ in xs]
+    # an input has a sensitive block iff f is not constant on its subcube,
+    # which inputs agreeing outside the free coordinates share
+    bases, which = np.unique(xs & ~spread[-1], return_inverse=True)
+    cube = bits[bases[:, None] ^ spread[None, :]]
+    live = np.flatnonzero((cube.min(axis=1) != cube.max(axis=1))[which])
+    if not live.size:
+        return blocks
+    xs_live = xs[live]
+    # row j, column i: does flipping block spread[j] change f at the i-th live input
+    sens = bits[spread[:, None] ^ xs_live[None, :]] != bits[xs_live][None, :]
+    k, m = len(live), len(spread).bit_length() - 1
     keep = sens.copy()
     for b in range(m):
-        kview = keep.reshape(-1, 2, 1 << b)
-        sview = sens.reshape(-1, 2, 1 << b)
+        kview = keep.reshape(-1, 2, k << b)
+        sview = sens.reshape(-1, 2, k << b)
         kview[:, 1, :] &= ~sview[:, 0, :]
-    survivors = np.nonzero(keep)[0]
-    return [int(spread[j]) for j in survivors if j != 0]
+    subsets, inputs = np.nonzero(keep)  # row 0 is the empty block, never sensitive
+    by_input = np.argsort(inputs, kind="stable")
+    masks = spread[subsets[by_input]].tolist()
+    cuts = np.searchsorted(inputs[by_input], np.arange(k + 1)).tolist()
+    for i, lo, hi in zip(live.tolist(), cuts, cuts[1:]):
+        blocks[i] = masks[lo:hi]
+    return blocks
 
 
-def _size_bound(blocks: list[int], n: int) -> int:
-    """Max packing size if only the block SIZES constrained anything."""
-    sizes = sorted(hamming_weight(b) for b in blocks)
-    free = n
+def _capacity_bound(sizes: list[int], free: int) -> int:
+    """Largest m such that the m smallest of the ascending sizes fit in free variables."""
     fit = 0
     for sz in sizes:
         if sz > free:
@@ -166,32 +185,23 @@ def _pack_blocks(blocks: list[int], n: int) -> tuple[int, tuple[int, ...]]:
     """Exact maximum disjoint packing by branch and bound.
 
     Blocks are ordered by size; the bound at a node is the current count plus
-    the largest m such that the m smallest remaining block sizes fit in the
-    free variables.
+    the capacity bound of the remaining block sizes in the free variables.
+    The result depends only on the set of blocks, not on their order.
     """
     if not blocks:
         return 0, ()
     order = sorted(blocks, key=lambda b: (hamming_weight(b), b))
     sizes = [hamming_weight(b) for b in order]
     count = len(order)
-    # suffix_sizes[i] = sorted sizes of order[i:], for the capacity bound
     best_count = 0
     best_sel: tuple[int, ...] = ()
+    # suffix_sorted[i] = sorted sizes of order[i:], for the capacity bound
     suffix_sorted: list[list[int]] = [None] * (count + 1)  # type: ignore[list-item]
     suffix_sorted[count] = []
     for i in range(count - 1, -1, -1):
         merged = suffix_sorted[i + 1] + [sizes[i]]
         merged.sort()
         suffix_sorted[i] = merged
-
-    def capacity_bound(i: int, free: int) -> int:
-        fit = 0
-        for sz in suffix_sorted[i]:
-            if sz > free:
-                break
-            free -= sz
-            fit += 1
-        return fit
 
     chosen: list[int] = []
 
@@ -200,13 +210,13 @@ def _pack_blocks(blocks: list[int], n: int) -> tuple[int, tuple[int, ...]]:
         if len(chosen) > best_count:
             best_count = len(chosen)
             best_sel = tuple(chosen)
-        if i >= count or len(chosen) + capacity_bound(i, free) <= best_count:
+        if i >= count or len(chosen) + _capacity_bound(suffix_sorted[i], free) <= best_count:
             return
         for j in range(i, count):
             b = order[j]
             if b & used:
                 continue
-            if len(chosen) + 1 + capacity_bound(j + 1, free - sizes[j]) <= best_count:
+            if len(chosen) + 1 + _capacity_bound(suffix_sorted[j + 1], free - sizes[j]) <= best_count:
                 continue
             chosen.append(b)
             descend(j + 1, used | b, free - sizes[j])
@@ -234,7 +244,7 @@ def block_sensitivity_at(t: TruthTable, x) -> tuple[int, tuple[int, ...]]:
     coord_mask = int(sensitive_coordinate_masks(t)[idx])
     singles = _singleton_masks(coord_mask, t.n)
     free = tuple(i for i in range(t.n) if not (coord_mask >> i) & 1)
-    blocks = _subcube_candidates(bits, idx, free, _spread_table(free))
+    [blocks] = _subcube_candidates(bits, np.array([idx]), _spread_table(free))
     packed, sel = _pack_blocks(blocks, len(free))
     return len(singles) + packed, singles + sel
 
@@ -244,7 +254,7 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
 
     With a budget, the scan stops early and the result is flagged as a lower
     bound (exact=False) rather than silently reported as exact. n=16 takes
-    minutes; larger n is refused.
+    from a second to minutes, depending on f; larger n is refused.
     """
     if t.n > BS_EXACT_MAX_VARS:
         raise CapacityError(f"exact block sensitivity is capped at n={BS_EXACT_MAX_VARS}")
@@ -252,7 +262,9 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
     bits = t.bits()
     n = t.n
     coord_masks = sensitive_coordinate_masks(t)
-    spread_cache: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+    spread_cache: dict[int, np.ndarray] = {}
+    # many inputs share the same candidate blocks; each distinct packing is solved once
+    pack_cache: dict[tuple[tuple[int, ...], int], tuple[int, tuple[int, ...]]] = {}
     best = -1
     best_x = 0
     best_blocks: tuple[int, ...] = ()
@@ -260,6 +272,15 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
     # scan inputs with many sensitive coordinates first; they set a strong
     # incumbent early and the ceiling S + floor(free/2) prunes the rest
     order = np.argsort(-np.bitwise_count(coord_masks.astype(np.uint64)), kind="stable")
+    # inputs grouped by sensitive-coordinate mask, each group in scan order:
+    # candidates come from one gather over the next run of a group's inputs
+    rank = np.empty_like(order)
+    rank[order] = np.arange(t.size)
+    grouped = np.lexsort((rank, coord_masks))
+    slot = np.empty_like(grouped)
+    slot[grouped] = np.arange(t.size)
+    group_end = np.searchsorted(coord_masks[grouped], coord_masks, side="right")
+    candidates: dict[int, list[int]] = {}
     for x in order.tolist():
         scanned += 1
         coord_mask = int(coord_masks[x])
@@ -267,16 +288,26 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
         free_count = n - s_count
         if s_count + free_count // 2 <= best:
             continue
-        cached = spread_cache.get(coord_mask)
-        if cached is None:
-            free = tuple(i for i in range(n) if not (coord_mask >> i) & 1)
-            cached = (free, _spread_table(free))
-            spread_cache[coord_mask] = cached
-        free, spread = cached
-        blocks = _subcube_candidates(bits, x, free, spread)
-        if s_count + _size_bound(blocks, free_count) <= best:
-            continue
-        packed, sel = _pack_blocks(blocks, free_count)
+        blocks = candidates.pop(x, None)
+        if blocks is None:
+            spread = spread_cache.get(coord_mask)
+            if spread is None:
+                spread = _spread_table(tuple(i for i in range(n) if not (coord_mask >> i) & 1))
+                spread_cache[coord_mask] = spread
+            start = int(slot[x])
+            size = max(_BATCH_MIN_INPUTS, _BATCH_ELEMENTS >> free_count)
+            run = grouped[start : min(int(group_end[x]), start + size)]
+            candidates.update(zip(run.tolist(), _subcube_candidates(bits, run, spread)))
+            blocks = candidates.pop(x)
+        key = (tuple(sorted(blocks)), free_count)
+        packing = pack_cache.get(key)
+        if packing is None:
+            sizes = sorted(hamming_weight(b) for b in blocks)
+            if s_count + _capacity_bound(sizes, free_count) <= best:
+                continue
+            packing = _pack_blocks(blocks, free_count)
+            pack_cache[key] = packing
+        packed, sel = packing
         value = s_count + packed
         if value > best:
             best, best_x = value, x

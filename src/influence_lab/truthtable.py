@@ -19,10 +19,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import MAX_VARS, hamming_weight
+from ._util import MAX_VARS, hamming_weight, popcounts
 from .errors import CapacityError, InputError
 
 _MASK64 = (1 << 64) - 1
+
+
+def _check_vars(n: int) -> None:
+    if not 1 <= n <= MAX_VARS:
+        raise CapacityError(f"variable count must be in 1..{MAX_VARS}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -33,8 +38,7 @@ class TruthTable:
     packed: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VARS:
-            raise CapacityError(f"variable count must be in 1..{MAX_VARS}, got {self.n}")
+        _check_vars(self.n)
         if not 0 <= self.packed < (1 << self.size):
             raise InputError("packed bits out of range for table size")
 
@@ -63,16 +67,6 @@ class TruthTable:
             raise InputError(f"bit array length {arr.shape[0]} is not a power of two >= 2")
         raw = np.packbits(arr.astype(np.uint8) & 1, bitorder="little").tobytes()
         return cls(n, int.from_bytes(raw, "little"))
-
-    @classmethod
-    def from_function(cls, n: int, fn) -> "TruthTable":
-        """Tabulate fn over all assignments; fn receives a tuple of n bits."""
-        packed = 0
-        for idx in range(1 << n):
-            x = tuple((idx >> i) & 1 for i in range(n))
-            if fn(x) & 1:
-                packed |= 1 << idx
-        return cls(n, packed)
 
     def index_of(self, x) -> int:
         """Row index for an assignment given as an int index or a bit sequence."""
@@ -167,10 +161,11 @@ def iterate(t: TruthTable, k: int) -> TruthTable:
     return result
 
 
-def _paper_f_bit(x) -> int:
-    # x0*(x1 - x2)^2 + (1 - x0)*(x2 - x3)^2 on bits
-    x0, x1, x2, x3 = x
-    return (x1 ^ x2) if x0 else (x2 ^ x3)
+def _paper_f_bits() -> np.ndarray:
+    # x0*(x1 - x2)^2 + (1 - x0)*(x2 - x3)^2 on bits, for all 16 inputs at once
+    idx = np.arange(16)
+    x0, x1, x2, x3 = ((idx >> i) & 1 for i in range(4))
+    return np.where(x0 == 1, x1 ^ x2, x2 ^ x3)
 
 
 def builtin(name: str, n: int) -> TruthTable:
@@ -178,10 +173,11 @@ def builtin(name: str, n: int) -> TruthTable:
     if name in ("majority", "maj"):
         if n % 2 == 0:
             raise InputError("majority needs an odd variable count")
-        half = n / 2
-        return TruthTable.from_function(n, lambda x: 1 if sum(x) > half else 0)
+        _check_vars(n)
+        return TruthTable.from_bit_array(2 * popcounts(n) > n)
     if name == "parity":
-        return TruthTable.from_function(n, lambda x: sum(x) & 1)
+        _check_vars(n)
+        return TruthTable.from_bit_array(popcounts(n) & 1)
     if name == "and":
         return TruthTable(n, 1 << ((1 << n) - 1))
     if name == "or":
@@ -189,7 +185,7 @@ def builtin(name: str, n: int) -> TruthTable:
     if name == "paper_f":
         if n != 4:
             raise InputError("paper_f is a fixed 4-variable function")
-        return TruthTable.from_function(4, _paper_f_bit)
+        return TruthTable.from_bit_array(_paper_f_bits())
     raise InputError(f"unknown builtin {name!r}")
 
 
@@ -207,8 +203,7 @@ def random_table(n: int, seed: int) -> TruthTable:
     Pure 64-bit integer mixing, so identical (n, seed) gives identical tables
     on every platform and run.
     """
-    if not 1 <= n <= MAX_VARS:
-        raise CapacityError(f"variable count must be in 1..{MAX_VARS}, got {n}")
+    _check_vars(n)
     state = seed & _MASK64
     nbits = 1 << n
     chunks = bytearray()

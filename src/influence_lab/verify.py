@@ -55,6 +55,11 @@ def suite_fourier(n_max: int = 6, seed: int = 1, samples: int = 20, corrupt: boo
                     bad_roundtrip = table_id(t)
             except Exception:
                 bad_roundtrip = table_id(t)
+    bad_builtin = next(
+        (f"{name}({n})" for name, n, ref in oracles.builtin_references() if builtin(name, n) != ref),
+        None,
+    )
+    checks.append(Check("fourier", "builtins match pointwise tabulation", bad_builtin is None, bad_builtin))
     checks.append(Check("fourier", "butterfly matches direct summation", bad_transform is None, bad_transform))
     checks.append(Check("fourier", "Parseval sum is exactly 1", bad_parseval is None, bad_parseval))
     checks.append(Check("fourier", "inverse transform round-trips", bad_roundtrip is None, bad_roundtrip))

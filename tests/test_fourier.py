@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from influence_lab import oracles
+from influence_lab import cli, fourier, oracles
 from influence_lab.errors import ConsistencyError
 from influence_lab.fourier import (
     FourierSpectrum,
@@ -11,6 +11,7 @@ from influence_lab.fourier import (
     inverse_wht,
     nonzero_entries,
     spectral_degree,
+    top_entries,
     wht,
 )
 from influence_lab.truthtable import TruthTable, builtin, complement, random_table
@@ -95,3 +96,78 @@ def test_export_skips_zeros():
     entries = nonzero_entries(wht(t))
     assert all(e["coeff_num"] != 0 for e in entries)
     assert all(e["coeff_den"] == 16 for e in entries)
+
+
+def _profile_by_objects(spec):
+    """A_j in Python integers, one mask at a time."""
+    profile = [0] * (spec.n + 1)
+    for s, c in enumerate(spec.sums.tolist()):
+        profile[bin(s).count("1")] += c * c
+    return profile
+
+
+def test_weight_profile_matches_exact_route(small_corpus):
+    for tables in small_corpus.values():
+        for t in tables:
+            spec = wht(t)
+            assert spec.weight_profile() == _profile_by_objects(spec)
+            assert all(type(a) is int for a in spec.weight_profile())
+
+
+def test_weight_profile_exact_at_twenty_variables():
+    # Parseval puts the whole 4^20 in int64 bins; the object route cannot overflow
+    spec = wht(builtin("parity", 20))
+    assert spec.weight_profile() == [0] * 20 + [4**20]
+    for seed in (3, 11):
+        spec = wht(random_table(20, seed))
+        profile = spec.weight_profile()
+        assert sum(profile) == 4**20
+        squares = spec.sums.astype(object) ** 2
+        weights = np.bitwise_count(np.arange(1 << 20, dtype=np.uint64))
+        assert profile == [squares[weights == j].sum() for j in range(21)]
+
+
+def test_weight_profile_computed_once_and_not_shared(monkeypatch):
+    spec = wht(random_table(6, 2))
+    calls = []
+    real = fourier.popcounts
+    monkeypatch.setattr(fourier, "popcounts", lambda n: calls.append(n) or real(n))
+    first = spec.weight_profile()
+    first[0] += 1
+    first.append(7)
+    assert spec.weight_profile() == _profile_by_objects(spec)
+    assert calls == [6]
+
+
+def _top_by_sorting(spec, count):
+    return sorted(nonzero_entries(spec), key=lambda e: (-abs(e["coeff_num"]), e["s"]))[:count]
+
+
+def test_top_entries_match_full_sort():
+    tables = [builtin("maj", 7), builtin("parity", 5), TruthTable(3, 0)]
+    for seed in (1, 2, 3):
+        tables += [random_table(10, seed), complement(random_table(10, seed))]
+    for t in tables:
+        spec = wht(t)
+        for count in (1, 8, 100):
+            assert top_entries(spec, count) == _top_by_sorting(spec, count)
+    # maj(7): ties at every nonzero |coefficient| level, both signs present
+    spec = wht(builtin("maj", 7))
+    tied = top_entries(spec, 8)
+    assert len({abs(e["coeff_num"]) for e in tied[:7]}) == 1
+    nums = [e["coeff_num"] for e in nonzero_entries(spec)]
+    assert min(nums) < 0 < max(nums)
+
+
+def test_spectrum_section_counts_and_dump():
+    for t in (builtin("maj", 7), random_table(10, 4), complement(random_table(9, 6))):
+        spec = wht(t)
+        entries = nonzero_entries(spec)
+        section = cli._spectrum_section(spec, dump=False)
+        assert section["nonzero_count"] == len(entries)
+        assert type(section["nonzero_count"]) is int
+        assert section["top_coefficients"] == _top_by_sorting(spec, 8)
+        assert "entries" not in section
+        dumped = cli._spectrum_section(spec, dump=True)
+        assert dumped["entries"] == entries
+        assert len(dumped["entries"]) == dumped["nonzero_count"]

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from influence_lab import fourier, oracles
+from influence_lab import dsl, fourier, measures, oracles
 from influence_lab.errors import CapacityError, InputError
 from influence_lab.measures import (
     avg_influence,
@@ -124,6 +125,75 @@ def test_block_sensitivity_at_matches_naive():
             value, blocks = block_sensitivity_at(t, x)
             assert value == oracles.block_sensitivity_naive_at(t, x)
             assert len(blocks) == value
+
+
+@pytest.mark.parametrize(
+    "expr, value, witness, blocks",
+    [
+        ("compose(maj(3),paper_f)", 6, 51, (1, 2, 4, 16, 32, 64)),
+        ("compose(paper_f,maj(3))", 6, 91, (1, 2, 8, 16, 128, 256)),
+        ("iterate(paper_f,2)", 9, 563, (1, 2, 4, 16, 32, 64, 256, 1024, 2048)),
+    ],
+)
+def test_block_sensitivity_pinned_results(expr, value, witness, blocks):
+    # value, witness and blocks as the scan reported them before packings were memoized
+    result = block_sensitivity(dsl.elaborate(expr))
+    assert (result.value, result.witness_input, result.witness_blocks) == (value, witness, blocks)
+    assert result.exact
+
+
+def test_block_sensitivity_witness_agrees_with_single_input(small_corpus):
+    # block_sensitivity_at packs from scratch, without the scan's memo
+    for n, tables in small_corpus.items():
+        for t in tables:
+            result = block_sensitivity(t)
+            assert block_sensitivity_at(t, result.witness_input) == (result.value, result.witness_blocks)
+
+
+@pytest.mark.parametrize(
+    "n, packed_hex",
+    [
+        (6, "30fc33ff300c33ff"),
+        (7, "ffffcfcf0f0f0f0ffff0ffc0ffffffff"),
+        (8, "d5d5f0f0d5d5f0f0d5d5f0f0d5d5f0f05f5f5f5f5f5f5f5f5555505055555050"),
+    ],
+)
+def test_block_sensitivity_equal_sensitivity_inputs_pack_differently(n, packed_hex):
+    # small DNFs (found by random search) on which inputs with the same number
+    # of free variables need different packings, so a packing memo keyed on
+    # that count alone misses the maximum
+    t = TruthTable(n, int(packed_hex, 16))
+    by_input = max(block_sensitivity_at(t, x)[0] for x in range(t.size))
+    assert block_sensitivity(t).value == by_input
+    if n <= 6:
+        assert by_input == oracles.block_sensitivity_naive(t)
+
+
+def _candidates_by_definition(t, x, free):
+    """Sensitive blocks B over the free coordinates with no sensitive B minus one coordinate."""
+    def sensitive(block):
+        return t.bit_at(x ^ block) != t.bit_at(x)
+
+    spread = measures._spread_table(free)
+    return [
+        int(b) for b in spread
+        if sensitive(b) and not any(sensitive(b & ~(1 << i)) for i in free if (b >> i) & 1)
+    ]
+
+
+def test_batched_candidates_match_definition():
+    # one batch per sensitive-coordinate mask, mixing inputs whose subcubes are
+    # constant (no candidates) with inputs whose subcubes are not
+    tables = [random_table(7, 40 + seed) for seed in range(3)]
+    tables += [dsl.elaborate(e) for e in ("compose(and(2),or(3))", "compose(or(2),maj(3))")]
+    tables.append(TruthTable(6, int("30fc33ff300c33ff", 16)))
+    for t in tables:
+        masks = measures.sensitive_coordinate_masks(t)
+        for coord_mask in np.unique(masks).tolist():
+            free = tuple(i for i in range(t.n) if not (coord_mask >> i) & 1)
+            xs = np.flatnonzero(masks == coord_mask)
+            batched = measures._subcube_candidates(t.bits(), xs, measures._spread_table(free))
+            assert batched == [_candidates_by_definition(t, x, free) for x in xs.tolist()]
 
 
 def test_block_sensitivity_budget_flags_partial():

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from influence_lab import oracles
 from influence_lab.errors import CapacityError, InputError
 from influence_lab.truthtable import (
     TruthTable,
@@ -76,9 +78,7 @@ def test_compose_parity2_parity2_is_parity4():
     # brute-force table equality over all 16 inputs
     p2 = builtin("parity", 2)
     composed = compose(p2, p2)
-    expected = TruthTable.from_function(
-        4, lambda x: (x[0] ^ x[1]) ^ (x[2] ^ x[3])
-    )
+    expected = oracles.tabulate(4, lambda x: (x[0] ^ x[1]) ^ (x[2] ^ x[3]))
     assert composed == expected
     assert composed == builtin("parity", 4)
 
@@ -140,6 +140,29 @@ def test_builtin_and_or():
     for x in range(8):
         assert and3.bit_at(x) == (1 if x == 7 else 0)
         assert or3.bit_at(x) == (0 if x == 0 else 1)
+
+
+def test_builtins_match_pointwise_tabulation():
+    refs = oracles.builtin_references()
+    covered = {(name, n) for name, n, _ in refs}
+    assert {("maj", n) for n in (1, 3, 5, 7, 9)} <= covered
+    assert {("parity", n) for n in range(1, 11)} <= covered
+    assert {name for name, _, _ in refs} == {"maj", "parity", "and", "or", "paper_f"}
+    for name, n, ref in refs:
+        assert builtin(name, n) == ref, f"{name}({n})"
+
+
+def test_builtins_at_the_variable_cap():
+    idx = np.random.default_rng(5).integers(0, 1 << 20, size=200)
+    parity, maj = builtin("parity", 20), builtin("maj", 19)
+    for x in idx.tolist():
+        assert parity.bit_at(x) == bin(x).count("1") & 1
+        assert maj.bit_at(x >> 1) == int(bin(x >> 1).count("1") >= 10)
+    for name, n in (("parity", 21), ("parity", 0), ("maj", 21), ("maj", -1)):
+        with pytest.raises(CapacityError):
+            builtin(name, n)
+    with pytest.raises(InputError):
+        builtin("maj", 0)
 
 
 def test_builtin_unknown():
