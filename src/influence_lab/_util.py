@@ -14,8 +14,3 @@ def hamming_weight(mask: int) -> int:
 def popcounts(n: int) -> np.ndarray:
     """Vector of popcount(s) for every mask s < 2^n (int64)."""
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-
-
-def mask_bits(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(n))
-

@@ -58,12 +58,6 @@ class MultilinearPoly:
         # inverse character transform: value[x] = sum_s dense[s] * (-1)^(s.x)
         return butterfly(dense, np.float64)
 
-    def evaluate(self, x) -> float:
-        total = 0.0
-        for s, c in self.coeffs.items():
-            total += c * (-1) ** bin(s & int(x)).count("1")
-        return total
-
 
 def exact_degree(t: TruthTable) -> int:
     """Degree of the unique multilinear representation (= spectral degree)."""
@@ -134,10 +128,6 @@ class DegreeScan:
     @property
     def polynomial(self) -> MultilinearPoly:
         return self.polynomials[self.degree]
-
-    @property
-    def achieved_error(self) -> float:
-        return self.errors[self.degree]
 
 
 def approx_degree_scan(t: TruthTable, eps: float, max_degree: int | None = None) -> DegreeScan:

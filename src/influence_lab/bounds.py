@@ -1,4 +1,4 @@
-"""Closed-form query and degree lower bounds, plus their brute-force oracles.
+"""Closed-form query and degree lower bounds.
 
 Conventions shared by every function here:
   - eps is the allowed error probability of the algorithm or polynomial.
@@ -7,9 +7,9 @@ Conventions shared by every function here:
   - k is the number of independently chosen coordinates XORed into the random
     flip; it must be odd (the k-th-root step of the derivation needs it).
 
-flip_prob_spectral and flip_prob_bruteforce are two routes to the same
-probability Pr[f(x) != f(x ^ e_{i_1} ^ .. ^ e_{i_k})]; the verify suite and
-tests hold them against each other.
+flip_prob_spectral and oracles.flip_prob_bruteforce are two routes to the
+same probability Pr[f(x) != f(x ^ e_{i_1} ^ .. ^ e_{i_k})]; the verify suite
+and tests hold them against each other.
 """
 
 from __future__ import annotations
@@ -17,16 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .fourier import FourierSpectrum
-from .truthtable import TruthTable
-
-BRUTE_FORCE_CAP = 10**8
 
 
 class BoundValue(NamedTuple):
@@ -59,27 +53,6 @@ def flip_prob_spectral(spec: FourierSpectrum, k: int) -> Fraction:
     At k=1 this equals the average influence.
     """
     return (1 - correlation_decay(spec, k)) / 2
-
-
-def flip_prob_bruteforce(t: TruthTable, k: int) -> Fraction:
-    """Same probability by enumerating every x and every coordinate tuple."""
-    _require_odd(k)
-    n = t.n
-    if n**k * t.size > BRUTE_FORCE_CAP:
-        raise CapacityError(f"brute force needs {n ** k * t.size} evaluations, cap is {BRUTE_FORCE_CAP}")
-    bits = t.bits()
-    idx = np.arange(t.size)
-    # flips_for[m] = #{x : f(x) != f(x ^ m)}, still a full x enumeration per mask
-    flips_for = {}
-    total = 0
-    for tup in product(range(n), repeat=k):
-        m = 0
-        for i in tup:
-            m ^= 1 << i
-        if m not in flips_for:
-            flips_for[m] = int(np.count_nonzero(bits != bits[idx ^ m]))
-        total += flips_for[m]
-    return Fraction(total, t.size * n**k)
 
 
 def query_lb_influence(rho: float, n: int, eps: float) -> BoundValue:
@@ -149,19 +122,12 @@ def displacement_lower_bound(spec: FourierSpectrum, eps: float, k: int) -> float
     return max(0.0, (2 - 4 * math.sqrt(eps)) * float(flip_prob_spectral(spec, k)))
 
 
-def displacement_upper_bound(t_queries: int, n: int, k: int, stated_form: bool = False) -> float:
-    """Upper bound 2 - 2(1 - 2T/n)^k on the same displacement.
-
-    stated_form=True computes 2 - 2(1 - T/n)^k instead. The two differ by a
-    factor of 2 on T/n; only the default is consistent with the k-th-root
-    bound, so the alternative exists purely for auditability.
-    """
+def displacement_upper_bound(t_queries: int, n: int, k: int) -> float:
+    """Upper bound 2 - 2(1 - 2T/n)^k on the same displacement."""
     _require_odd(k)
     if not 0 <= t_queries <= n:
         raise InputError(f"query count must be in 0..{n}, got {t_queries}")
-    lam = t_queries / n
-    base = (1 - lam) if stated_form else (1 - 2 * lam)
-    return 2 - 2 * base**k
+    return 2 - 2 * (1 - 2 * (t_queries / n)) ** k
 
 
 @dataclass(frozen=True)
@@ -210,7 +176,6 @@ __all__ = [
     "degree_lb_influence",
     "displacement_lower_bound",
     "displacement_upper_bound",
-    "flip_prob_bruteforce",
     "flip_prob_spectral",
     "query_lb_block_sensitivity",
     "query_lb_degree",

@@ -38,11 +38,6 @@ class FourierSpectrum:
     def coefficient(self, s: int) -> Fraction:
         return Fraction(int(self.sums[s]), self.denominator)
 
-    def squared_coefficients(self) -> np.ndarray:
-        """float array of (sums[s] / 2^n)^2; exact helpers below avoid floats."""
-        scaled = self.sums.astype(np.float64) / self.denominator
-        return scaled * scaled
-
     def parseval_sum(self) -> Fraction:
         """sum_s coeff^2, exactly. Equals 1 for any +-1-valued source."""
         total = int(np.dot(self.sums, self.sums))

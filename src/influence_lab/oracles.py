@@ -7,12 +7,18 @@ paths against these on small instances; nothing here is performance-tuned.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
-from .errors import CapacityError
+from . import qsim
+from .errors import CapacityError, InputError
 from .truthtable import TruthTable
+
+BRUTE_FORCE_CAP = 10**8
 
 
 def tabulate(n: int, fn) -> TruthTable:
@@ -75,10 +81,91 @@ def block_sensitivity_naive(t: TruthTable) -> int:
     return max(block_sensitivity_naive_at(t, x) for x in range(t.size))
 
 
+def _require_odd(k: int) -> None:
+    if k < 1 or k % 2 == 0:
+        raise InputError(f"k must be a positive odd integer, got {k}")
+
+
+def _flip_mask(coords) -> int:
+    m = 0
+    for i in coords:
+        m ^= 1 << i
+    return m
+
+
+def flip_prob_bruteforce(t: TruthTable, k: int) -> Fraction:
+    """Pr[f(x) != f(x ^ e_{i_1} ^ .. ^ e_{i_k})] by enumerating every x and coordinate tuple.
+
+    The reference for bounds.flip_prob_spectral.
+    """
+    _require_odd(k)
+    n = t.n
+    if n**k * t.size > BRUTE_FORCE_CAP:
+        raise CapacityError(f"brute force needs {n ** k * t.size} evaluations, cap is {BRUTE_FORCE_CAP}")
+    bits = t.bits()
+    idx = np.arange(t.size)
+    # flips_for[m] = #{x : f(x) != f(x ^ m)}, still a full x enumeration per mask
+    flips_for = {}
+    total = 0
+    for tup in product(range(n), repeat=k):
+        m = _flip_mask(tup)
+        if m not in flips_for:
+            flips_for[m] = int(np.count_nonzero(bits != bits[idx ^ m]))
+        total += flips_for[m]
+    return Fraction(total, t.size * n**k)
+
+
+def displacement_direct(state: qsim.FourierState, k: int) -> float:
+    """qsim.displacement_statistic by enumerating every oracle and coordinate tuple."""
+    _require_odd(k)
+    n = state.layout.n_index
+    size = 1 << n
+    if size * n**k > 10**7:
+        raise CapacityError("direct displacement enumeration is for small n and k")
+    vecs = [qsim.reconstruct(state, x) for x in range(size)]
+    total = 0.0
+    for tup in product(range(n), repeat=k):
+        m = _flip_mask(tup)
+        for x in range(size):
+            d = vecs[x] - vecs[x ^ m]
+            total += float(np.vdot(d, d).real)
+    return total / (size * n**k)
+
+
+def gap_check_direct(
+    state: qsim.FourierState, table: TruthTable, eps: float, neighbors_only: bool = False
+) -> qsim.GapReport:
+    """qsim.gap_check pair by pair, each oracle's state rebuilt by qsim.reconstruct."""
+    n = state.layout.n_index
+    size = 1 << n
+    vecs = [qsim.reconstruct(state, x) for x in range(size)]
+    bits = table.bits()
+    threshold = 2 - 4 * math.sqrt(max(0.0, eps))
+    min_gap = None
+    checked = 0
+    if neighbors_only:
+        pairs = ((x, x ^ (1 << i)) for x in range(size) for i in range(n) if x < x ^ (1 << i))
+    else:
+        pairs = ((x, y) for x in range(size) for y in range(x + 1, size))
+    for x, y in pairs:
+        if bits[x] == bits[y]:
+            continue
+        d = vecs[x] - vecs[y]
+        gap = float(np.vdot(d, d).real)
+        checked += 1
+        if min_gap is None or gap < min_gap:
+            min_gap = gap
+    violated = min_gap is not None and min_gap < threshold - qsim.NORM_TOL
+    return qsim.GapReport(min_gap, threshold, checked, violated)
+
+
 __all__ = [
     "block_sensitivity_naive",
     "block_sensitivity_naive_at",
     "builtin_references",
+    "displacement_direct",
+    "flip_prob_bruteforce",
+    "gap_check_direct",
     "tabulate",
     "wht_direct",
 ]

@@ -3,10 +3,12 @@
 A T-query black-box algorithm, run against every oracle x at once, is a map
 phi(x) living in the register space. Written over the character basis it is
 phi(x) = sum_s coeff_s * (-1)^(s.x) where each coeff_s is a vector, and only
-masks of weight <= T appear. This module evolves that family {coeff_s}
-directly:
+masks of weight <= T appear. This module evolves those coefficients
+directly, held as two arrays: the masks in strictly ascending order, and a
+(masks x register dimension) matrix whose row j is the coefficient at mask j.
 
-  - oracle-independent unitaries act on every coefficient vector alike;
+  - oracle-independent unitaries act on every coefficient row alike, one
+    matrix product for all of them;
   - a query conjugates the answer coordinate into the Hadamard basis, leaves
     the answer-plus component where it is, and moves the answer-minus
     component at index i from mask s to mask s XOR e_i (phase kickback is
@@ -18,12 +20,14 @@ index-major then answer then work. The computational-basis query gate is
 |i, a, w> -> |i, a XOR x_i, w>.
 
 Over all oracles at once, phi is one inverse Walsh-Hadamard transform of the
-stacked coefficients along the mask axis: oracle_states gives every phi(x)
+coefficient rows along the mask axis: oracle_states gives every phi(x)
 that way, and the acceptance profile and the gap check read from it.
 
 reconstruct (one oracle, summed mask by mask) and simulate_direct (one
 oracle, plain computational basis) are the per-oracle references: the verify
 suite and the tests check the batched states against both for every oracle.
+The pair-enumeration references for the displacement statistic and the gap
+check live in oracles.py.
 """
 
 from __future__ import annotations
@@ -31,12 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from ._util import hamming_weight
 from .errors import CapacityError, ConsistencyError, InputError
 from .fourier import butterfly
 from .truthtable import TruthTable
@@ -111,34 +113,42 @@ class Algorithm:
 
 
 class FourierState:
-    """Sparse mask -> coefficient-vector map with a query tally."""
+    """Coefficient row j of coeffs sits at masks[j]; masks ascend strictly.
+
+    Also carries the query tally and the support size after every step.
+    """
 
     def __init__(self, layout: RegisterLayout):
         self.layout = layout
-        self.amps: dict[int, np.ndarray] = {}
+        self.masks = np.zeros(0, dtype=np.int64)
+        self.coeffs = np.zeros((0, layout.dim), dtype=np.complex128)
         self.queries_applied = 0
         self.support_history: list[int] = []
 
     def norm_sq(self) -> float:
-        return float(sum(np.vdot(v, v).real for v in self.amps.values()))
+        return float(np.vdot(self.coeffs, self.coeffs).real)
 
     def support(self) -> frozenset:
-        return frozenset(self.amps)
+        return frozenset(self.masks.tolist())
 
     def max_weight(self) -> int:
-        return max((hamming_weight(s) for s in self.amps), default=0)
+        return int(np.bitwise_count(self.masks).max(initial=0))
+
+
+def _row_norms_sq(coeffs: np.ndarray) -> np.ndarray:
+    return np.sum(coeffs.real**2 + coeffs.imag**2, axis=1)
 
 
 def initial_state(layout: RegisterLayout) -> FourierState:
     state = FourierState(layout)
-    v = np.zeros(layout.dim, dtype=np.complex128)
-    v[0] = 1.0
-    state.amps[0] = v
+    state.masks = np.zeros(1, dtype=np.int64)
+    state.coeffs = np.zeros((1, layout.dim), dtype=np.complex128)
+    state.coeffs[0, 0] = 1.0
     return state
 
 
 def apply_unitary(state: FourierState, u: Unitary | np.ndarray) -> FourierState:
-    """Coefficient-wise action, one GEMM over the stacked coefficients.
+    """Coefficient-wise action, one GEMM over the coefficient rows.
 
     The support set never changes. A real matrix acts on the real and
     imaginary parts separately, so it is never cast to complex.
@@ -147,53 +157,36 @@ def apply_unitary(state: FourierState, u: Unitary | np.ndarray) -> FourierState:
         u = Unitary(u)
     if u.matrix.shape != (state.layout.dim, state.layout.dim):
         raise InputError("unitary dimension does not match layout")
-    if not state.amps:
-        return state
-    masks = list(state.amps)
-    coeffs = np.stack([state.amps[s] for s in masks])  # one coefficient per row
     mt = u.matrix.T
     if np.iscomplexobj(mt):
-        out = coeffs @ mt
+        state.coeffs = state.coeffs @ mt
     else:
-        out = np.empty_like(coeffs)
-        out.real = np.ascontiguousarray(coeffs.real) @ mt
-        out.imag = np.ascontiguousarray(coeffs.imag) @ mt
-    state.amps = dict(zip(masks, out))
+        out = np.empty_like(state.coeffs)
+        out.real = np.ascontiguousarray(state.coeffs.real) @ mt
+        out.imag = np.ascontiguousarray(state.coeffs.imag) @ mt
+        state.coeffs = out
     return state
 
 
 def apply_query(state: FourierState) -> FourierState:
     """One oracle call: mask transport of the answer-minus components."""
-    layout = state.layout
-    n, w = layout.n_index, layout.work_dim
-    split: dict[int, np.ndarray] = {}  # mask -> (n,2,w) in the answer Hadamard basis
-
-    def slot(mask: int) -> np.ndarray:
-        arr = split.get(mask)
-        if arr is None:
-            arr = np.zeros((n, 2, w), dtype=np.complex128)
-            split[mask] = arr
-        return arr
-
-    for s, v in state.amps.items():
-        vr = v.reshape(n, 2, w)
-        plus = (vr[:, 0, :] + vr[:, 1, :]) / _SQRT2
-        minus = (vr[:, 0, :] - vr[:, 1, :]) / _SQRT2
-        slot(s)[:, 0, :] += plus
-        for i in range(n):
-            row = minus[i]
-            if np.any(row):
-                slot(s ^ (1 << i))[i, 1, :] += row
-
-    new_amps: dict[int, np.ndarray] = {}
-    for s, arr in split.items():
-        out = np.empty((n, 2, w), dtype=np.complex128)
-        out[:, 0, :] = (arr[:, 0, :] + arr[:, 1, :]) / _SQRT2
-        out[:, 1, :] = (arr[:, 0, :] - arr[:, 1, :]) / _SQRT2
-        flat = out.reshape(layout.dim)
-        if np.vdot(flat, flat).real > _PRUNE_SQ:
-            new_amps[s] = flat
-    state.amps = new_amps
+    n, w = state.layout.n_index, state.layout.work_dim
+    k = state.masks.size
+    c = state.coeffs.reshape(k, n, 2, w)
+    moved = state.masks[:, None] ^ (1 << np.arange(n, dtype=np.int64))  # s XOR e_i
+    masks, slot = np.unique(np.concatenate([state.masks, moved.ravel()]), return_inverse=True)
+    # split[j] is the coefficient at masks[j] in the answer Hadamard basis;
+    # masks are unique, so each of its slots receives at most one term
+    split = np.zeros((masks.size, n, 2, w), dtype=np.complex128)
+    split[:, :, 0][slot[:k]] = (c[:, :, 0] + c[:, :, 1]) / _SQRT2
+    split[:, :, 1][slot[k:].reshape(k, n), np.arange(n)] = (c[:, :, 0] - c[:, :, 1]) / _SQRT2
+    out = np.empty_like(split)
+    out[:, :, 0] = (split[:, :, 0] + split[:, :, 1]) / _SQRT2
+    out[:, :, 1] = (split[:, :, 0] - split[:, :, 1]) / _SQRT2
+    out = out.reshape(masks.size, state.layout.dim)
+    keep = _row_norms_sq(out) > _PRUNE_SQ
+    state.masks = masks[keep]
+    state.coeffs = out[keep]
     state.queries_applied += 1
     return state
 
@@ -201,7 +194,7 @@ def apply_query(state: FourierState) -> FourierState:
 def reconstruct(state: FourierState, x: int) -> np.ndarray:
     """The register-space state for oracle x: sum_s (-1)^(s.x) coeff_s."""
     total = np.zeros(state.layout.dim, dtype=np.complex128)
-    for s, v in state.amps.items():
+    for s, v in zip(state.masks.tolist(), state.coeffs):
         if bin(s & x).count("1") & 1:
             total -= v
         else:
@@ -221,7 +214,7 @@ def _check_invariants(state: FourierState) -> None:
 def run(alg: Algorithm, check: bool = True) -> FourierState:
     """Execute all steps; support-weight and norm invariants hold after each."""
     state = initial_state(alg.layout)
-    state.support_history.append(len(state.amps))
+    state.support_history.append(state.masks.size)
     for step in alg.steps:
         if isinstance(step, Query):
             apply_query(state)
@@ -229,7 +222,7 @@ def run(alg: Algorithm, check: bool = True) -> FourierState:
             apply_unitary(state, step)
         if check:
             _check_invariants(state)
-        state.support_history.append(len(state.amps))
+        state.support_history.append(state.masks.size)
     return state
 
 
@@ -267,14 +260,12 @@ class ErrorProfile(NamedTuple):
 def oracle_states(state: FourierState, columns=None) -> np.ndarray:
     """phi(x) for every oracle x at once: row x of the (2^n, columns) result.
 
-    One inverse transform of the stacked coefficients along the mask axis.
+    One inverse transform of the coefficient rows along the mask axis.
     columns selects basis indices (all of them by default).
     """
     cols = np.arange(state.layout.dim) if columns is None else np.asarray(columns, dtype=np.int64)
     dense = np.zeros((1 << state.layout.n_index, cols.size), dtype=np.complex128)
-    if state.amps:
-        masks = np.fromiter(state.amps, dtype=np.int64, count=len(state.amps))
-        dense[masks] = np.stack(list(state.amps.values()))[:, cols]
+    dense[state.masks] = state.coeffs[:, cols]
     return butterfly(dense, np.complex128)
 
 
@@ -319,31 +310,8 @@ def displacement_statistic(state: FourierState, k: int) -> float:
     if k < 1 or k % 2 == 0:
         raise InputError(f"k must be a positive odd integer, got {k}")
     n = state.layout.n_index
-    total = 0.0
-    for s, v in state.amps.items():
-        w = 2.0 - 2.0 * (1.0 - 2.0 * hamming_weight(s) / n) ** k
-        total += w * float(np.vdot(v, v).real)
-    return total
-
-
-def displacement_direct(state: FourierState, k: int) -> float:
-    """Same statistic by enumerating every oracle and coordinate tuple."""
-    if k < 1 or k % 2 == 0:
-        raise InputError(f"k must be a positive odd integer, got {k}")
-    n = state.layout.n_index
-    size = 1 << n
-    if size * n**k > 10**7:
-        raise CapacityError("direct displacement enumeration is for small n and k")
-    vecs = [reconstruct(state, x) for x in range(size)]
-    total = 0.0
-    for tup in product(range(n), repeat=k):
-        m = 0
-        for i in tup:
-            m ^= 1 << i
-        for x in range(size):
-            d = vecs[x] - vecs[x ^ m]
-            total += float(np.vdot(d, d).real)
-    return total / (size * n**k)
+    weights = 2.0 - 2.0 * (1.0 - 2.0 * np.bitwise_count(state.masks) / n) ** k
+    return float(weights @ _row_norms_sq(state.coeffs))
 
 
 class GapReport(NamedTuple):
@@ -360,26 +328,24 @@ def gap_check(state: FourierState, table: TruthTable, eps: float, neighbors_only
         raise InputError("table size does not match layout")
     if not neighbors_only and n > 5:
         raise CapacityError("full pair scan is capped at n=5; use neighbors_only")
-    size = 1 << n
     vecs = oracle_states(state)
     bits = table.bits()
-    threshold = 2 - 4 * math.sqrt(max(0.0, eps))
-    min_gap = None
-    checked = 0
     if neighbors_only:
-        pairs = ((x, x ^ (1 << i)) for x in range(size) for i in range(n) if x < x ^ (1 << i))
+        # one gather per coordinate i: the 2^(n-1) pairs (x, x | e_i), bit i of x clear
+        idx = np.arange(1 << n)
+        lows = [idx[(idx >> i) & 1 == 0] for i in range(n)]
+        pairs = [(x, x | (1 << i)) for i, x in enumerate(lows)]
     else:
-        pairs = ((x, y) for x in range(size) for y in range(x + 1, size))
+        pairs = [np.triu_indices(1 << n, k=1)]
+    gaps = []
     for x, y in pairs:
-        if bits[x] == bits[y]:
-            continue
-        d = vecs[x] - vecs[y]
-        gap = float(np.vdot(d, d).real)
-        checked += 1
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
+        differ = bits[x] != bits[y]
+        gaps.append(_row_norms_sq(vecs[x[differ]] - vecs[y[differ]]))
+    gaps = np.concatenate(gaps)
+    min_gap = float(gaps.min()) if gaps.size else None
+    threshold = 2 - 4 * math.sqrt(max(0.0, eps))
     violated = min_gap is not None and min_gap < threshold - NORM_TOL
-    return GapReport(min_gap, threshold, checked, violated)
+    return GapReport(min_gap, threshold, int(gaps.size), violated)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +502,6 @@ __all__ = [
     "apply_query",
     "apply_unitary",
     "deutsch_parity",
-    "displacement_direct",
     "displacement_statistic",
     "error_profile",
     "gap_check",

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import MAX_VARS, hamming_weight, popcounts
+from ._util import MAX_VARS, popcounts
 from .errors import CapacityError, InputError
 
 _MASK64 = (1 << 64) - 1
@@ -271,5 +271,4 @@ __all__ = [
     "read_table",
     "table_id",
     "write_table",
-    "hamming_weight",
 ]

@@ -108,7 +108,7 @@ def suite_bounds(n_max: int = 6, seed: int = 3, samples: int = 20) -> list[Check
         spec = fourier.wht(t)
         if bad_flip is None and t.n <= 6:  # k=5 brute force is n^5 2^n evaluations
             for k in (1, 3, 5):
-                if bounds.flip_prob_spectral(spec, k) != bounds.flip_prob_bruteforce(t, k):
+                if bounds.flip_prob_spectral(spec, k) != oracles.flip_prob_bruteforce(t, k):
                     bad_flip = f"{table_id(t)} k={k}"
                     break
         if bad_reduction is None:
@@ -139,8 +139,9 @@ def suite_qsim(n_max: int = 4, seed: int = 4, samples: int = 5) -> list[Check]:
     bad_displacement = None
 
     def algorithms():
+        for t in _tables(min(n_max, 4), seed, samples):
+            yield f"serial_read {table_id(t)}", qsim.serial_read(t)
         for n in range(2, min(n_max, 4) + 1):
-            yield f"serial_read n={n}", qsim.serial_read(random_table(n, seed + n))
             if n % 2 == 0:
                 yield f"deutsch_parity n={n}", qsim.deutsch_parity(n)
             yield f"grover n={n}", qsim.grover(n, 1)
@@ -166,7 +167,7 @@ def suite_qsim(n_max: int = 4, seed: int = 4, samples: int = 5) -> list[Check]:
         if bad_displacement is None:
             for k in (1, 3):
                 fast = qsim.displacement_statistic(state, k)
-                slow = qsim.displacement_direct(state, k)
+                slow = oracles.displacement_direct(state, k)
                 if abs(fast - slow) > 1e-9:
                     bad_displacement = f"{label} k={k}"
                     break

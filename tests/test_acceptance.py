@@ -67,7 +67,7 @@ def test_criterion_3_flip_probability(corpus):
                 spec = fourier.wht(t)
                 for k in (1, 3, 5):
                     # exact rational equality, stronger than the 1e-12 tolerance
-                    assert bounds.flip_prob_spectral(spec, k) == bounds.flip_prob_bruteforce(t, k)
+                    assert bounds.flip_prob_spectral(spec, k) == oracles.flip_prob_bruteforce(t, k)
         parity_spec = fourier.wht(builtin("parity", 5))
         for k in range(1, 16, 2):
             assert bounds.flip_prob_spectral(parity_spec, k) == 1

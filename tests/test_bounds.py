@@ -10,7 +10,6 @@ from influence_lab.bounds import (
     degree_lb_influence,
     displacement_lower_bound,
     displacement_upper_bound,
-    flip_prob_bruteforce,
     flip_prob_spectral,
     query_lb_block_sensitivity,
     query_lb_degree,
@@ -19,6 +18,7 @@ from influence_lab.bounds import (
     query_lb_influence_k,
 )
 from influence_lab.errors import CapacityError, InputError
+from influence_lab.oracles import flip_prob_bruteforce
 from influence_lab.truthtable import TruthTable, builtin, random_table
 
 AND2 = TruthTable.from_bits([0, 0, 0, 1])
@@ -154,7 +154,6 @@ def test_displacement_bounds_shapes():
     assert displacement_lower_bound(spec, 1.0, 1) == 0.0  # clamped when negative
     assert displacement_upper_bound(4, 4, 3) == 4.0  # (-1)^3
     assert displacement_upper_bound(2, 4, 1) == 2.0  # zero base
-    assert displacement_upper_bound(2, 4, 1, stated_form=True) == 1.0
     with pytest.raises(InputError):
         displacement_lower_bound(spec, 1.5, 1)
     with pytest.raises(InputError):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from influence_lab import cli
+from influence_lab import cli, qsim
 from influence_lab.truthtable import builtin, write_table
 
 
@@ -178,6 +178,22 @@ def test_verify_all_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().endswith("checks passed")
+
+
+def test_verify_qsim_suite_draws_samples_tables(monkeypatch):
+    calls = []
+    real = qsim.serial_read
+
+    def counted(table):
+        calls.append(table.n)
+        return real(table)
+
+    monkeypatch.setattr(qsim, "serial_read", counted)
+    # samples tables per n for n = 2..4, the suite's cap of 5 per n above that
+    for samples, per_n in ((3, 3), (8, 5)):
+        calls.clear()
+        assert cli.main(["verify", "--suite", "qsim", "--n-max", "6", "--samples", str(samples)]) == 0
+        assert sorted(calls) == [n for n in (2, 3, 4) for _ in range(per_n)]
 
 
 def test_verify_inject_fault_exits_nonzero(capsys):

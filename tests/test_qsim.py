@@ -5,6 +5,7 @@ import pytest
 
 from influence_lab import bounds, fourier, qsim
 from influence_lab.errors import CapacityError, InputError
+from influence_lab.oracles import displacement_direct, gap_check_direct
 from influence_lab.qsim import (
     QUERY,
     Algorithm,
@@ -14,7 +15,6 @@ from influence_lab.qsim import (
     apply_query,
     apply_unitary,
     deutsch_parity,
-    displacement_direct,
     displacement_statistic,
     error_profile,
     gap_check,
@@ -45,17 +45,13 @@ def oracle_apply(layout: RegisterLayout, x: int, v: np.ndarray) -> np.ndarray:
 
 
 def random_state(layout: RegisterLayout, masks, seed: int) -> FourierState:
+    """Unit-norm random coefficients at the given strictly ascending masks."""
     rng = np.random.default_rng(seed)
     state = initial_state(layout)
-    state.amps = {}
-    total = 0.0
-    vecs = {}
-    for s in masks:
-        v = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
-        vecs[s] = v
-        total += float(np.vdot(v, v).real)
-    scale = 1 / math.sqrt(total)
-    state.amps = {s: v * scale for s, v in vecs.items()}
+    coeffs = np.array([rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim) for _ in masks])
+    state.masks = np.array(masks, dtype=np.int64)
+    assert np.all(np.diff(state.masks) > 0)
+    state.coeffs = coeffs / math.sqrt(np.vdot(coeffs, coeffs).real)
     state.queries_applied = max(bin(s).count("1") for s in masks)
     return state
 
@@ -85,11 +81,11 @@ def test_initial_state():
 def test_apply_unitary_identity_and_support():
     layout = RegisterLayout(2, 1)
     state = random_state(layout, [0b01, 0b10], 1)
-    before = {s: v.copy() for s, v in state.amps.items()}
+    masks, before = state.masks.copy(), state.coeffs.copy()
     apply_unitary(state, np.eye(layout.dim, dtype=complex))
-    assert state.support() == set(before)
-    for s, v in before.items():
-        assert np.allclose(state.amps[s], v)
+    assert state.support() == {0b01, 0b10}
+    assert np.array_equal(state.masks, masks)
+    assert np.allclose(state.coeffs, before)
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -101,10 +97,10 @@ def test_apply_unitary_matches_per_mask_product():
     cplx, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
     for m in (real, cplx):
         state = random_state(layout, [0b000, 0b011, 0b101], 6)
-        expected = {s: m @ v for s, v in state.amps.items()}
+        expected = [m @ v for v in state.coeffs]
         apply_unitary(state, m)
-        for s, v in expected.items():
-            assert np.max(np.abs(state.amps[s] - v)) < 1e-12
+        for j, v in enumerate(expected):
+            assert np.max(np.abs(state.coeffs[j] - v)) < 1e-12
 
 
 def test_apply_unitary_rejects_non_unitary():
@@ -136,10 +132,10 @@ def test_query_leaves_answer_plus_alone():
     v = np.zeros(layout.dim, dtype=complex)
     v[layout.basis_index(2, 0, 0)] = 1 / SQRT2
     v[layout.basis_index(2, 1, 0)] = 1 / SQRT2
-    state.amps = {0: v}
+    state.coeffs = v[None, :]
     apply_query(state)
     assert state.support() == {0}
-    assert np.allclose(state.amps[0], v, atol=1e-12)
+    assert np.allclose(state.coeffs[0], v, atol=1e-12)
     assert state.queries_applied == 1
 
 
@@ -149,17 +145,20 @@ def test_query_pure_kickback_moves_mask():
     v = np.zeros(layout.dim, dtype=complex)
     v[layout.basis_index(3, 0, 0)] = 1 / SQRT2
     v[layout.basis_index(3, 1, 0)] = -1 / SQRT2  # answer-minus at index 3
-    state.amps = {0: v}
+    state.coeffs = v[None, :]
     apply_query(state)
     assert state.support() == {0b1000}
-    assert np.allclose(state.amps[0b1000], v, atol=1e-12)
+    assert np.allclose(state.coeffs[0], v, atol=1e-12)
 
 
 def test_query_matches_oracle_gate_on_random_states():
-    for n in (2, 3, 4):
-        layout = RegisterLayout(n, 2)
-        masks = [0, 1, (1 << n) - 1 & 0b11]
-        state = random_state(layout, sorted(set(masks)), seed=n)
+    cases = [(RegisterLayout(n, 2), sorted({0, 1, (1 << n) - 1 & 0b11}), n) for n in (2, 3, 4)]
+    # many masks, some of them neighbours, so transported parts land on occupied masks
+    many = sorted(np.random.default_rng(6).choice(64, 20, replace=False).tolist())
+    cases.append((RegisterLayout(6, 3), many, 6))
+    for layout, masks, seed in cases:
+        n = layout.n_index
+        state = random_state(layout, masks, seed=seed)
         before = {x: reconstruct(state, x) for x in range(1 << n)}
         apply_query(state)
         for x in range(1 << n):
@@ -197,6 +196,24 @@ def test_run_invariants_on_builtins():
         assert abs(state.norm_sq() - 1.0) < 1e-9
         assert state.max_weight() <= alg.queries
         assert len(state.support_history) == len(alg.steps) + 1
+
+
+def test_support_history_pinned_and_masks_ascending():
+    cases = [
+        (grover(10, 3), [1, 1, 10, 10, 46, 46, 130, 130, 130, 386]),
+        (deutsch_parity(12), [1, 1] + [2] * 12),
+        (serial_read(random_table(6, 21)), [1, 2, 2, 2, 4, 4, 4, 8, 8, 8, 16, 16, 16, 32, 32, 32, 64, 64]),
+    ]
+    for alg, history in cases:
+        assert run(alg).support_history == history
+        state = initial_state(alg.layout)
+        for step in alg.steps:
+            if step is QUERY:
+                apply_query(state)
+            else:
+                apply_unitary(state, step)
+            assert np.all(np.diff(state.masks) > 0)
+            assert state.coeffs.shape == (state.masks.size, alg.layout.dim)
 
 
 def test_fourier_matches_direct_all_oracles():
@@ -338,6 +355,22 @@ def test_gap_check_serial_no_violations():
         t = random_table(n, 110 + n)
         state = run(serial_read(t))
         assert not gap_check(state, t, 0.0).violated
+
+
+def test_gap_check_matches_pairwise_reference():
+    for neighbors_only, sizes in ((False, range(3, 6)), (True, range(3, 7))):
+        for n in sizes:
+            t = random_table(n, 130 + n)
+            runs = [(serial_read(t), t)] + [(grover(n, it), builtin("or", n)) for it in (1, 0)]
+            for alg, table in runs:
+                state = run(alg)
+                for eps in (0.0, 0.1):
+                    fast = gap_check(state, table, eps, neighbors_only)
+                    slow = gap_check_direct(state, table, eps, neighbors_only)
+                    assert fast.pairs_checked == slow.pairs_checked
+                    assert fast.violated == slow.violated
+                    assert fast.threshold == slow.threshold
+                    assert abs(fast.min_gap - slow.min_gap) < 1e-12
 
 
 def test_gap_check_capacity_and_neighbors():
