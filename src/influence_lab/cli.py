@@ -15,12 +15,11 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from . import approxdeg, bounds, dsl, fourier, measures, qsim
-from .errors import CapacityError, InputError, ParseError, SolverError
+from .errors import CapacityError, InputError, SolverError
 from .truthtable import TruthTable, builtin, read_table, table_id
 
 EXIT_OK = 0
@@ -29,10 +28,6 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 _TOP_COEFFS = 8
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 class _Timer:
@@ -91,10 +86,10 @@ def _measures_section(report: measures.MeasureReport) -> dict:
             "witness_blocks": list(r.witness_blocks),
         }
     return {
-        "influences": [_frac(v) for v in report.influences],
-        "rho": _frac(report.rho),
+        "influences": [str(v) for v in report.influences],
+        "rho": str(report.rho),
         "rho_float": float(report.rho),
-        "avg_sensitivity": _frac(report.avg_sensitivity),
+        "avg_sensitivity": str(report.avg_sensitivity),
         "avg_sensitivity_float": float(report.avg_sensitivity),
         "max_sensitivity": report.max_sensitivity,
         "max_sensitivity_witness": report.max_sensitivity_witness,
@@ -365,9 +360,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         report, code = args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -10,11 +10,15 @@ truly minimal sensitive block passes that local test and every candidate is
 still sensitive, so the packing optimum over the candidates equals the
 optimum over all sensitive blocks.
 
-The scan over all inputs shares work. Inputs with the same sensitive
-coordinates get their candidates from one batched gather, and the packing of
-each distinct (candidate set, free variable count) is solved once and reused:
-the branch and bound depends only on that pair, so the memo cannot change a
-value or a witness.
+The scan over all inputs shares work. One sort puts inputs with more
+sensitive coordinates first and the inputs sharing a sensitive-coordinate mask
+together; each such group gets its candidates from batched gathers, and the
+packing of each distinct (candidate set, free variable count) is solved once
+and reused: the branch and bound depends only on that pair, so the memo cannot
+change a value or a witness. A group's ceiling S + floor(free/2) never grows
+along that order, so the scan ends at the first group that cannot reach the
+incumbent. The witness is the smallest input index attaining the maximum, so
+no scan order can move it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from ._util import hamming_weight
 from .errors import CapacityError, InputError
 from .truthtable import TruthTable
 
-BS_EXACT_MAX_VARS = 16  # the 2^16-input scan can take minutes on low-sensitivity f
+BS_EXACT_MAX_VARS = 16  # the 2^16-input scan takes tens of seconds when bs is far below n/2
 # the block-sensitivity scan gathers inputs x subsets in batches: about 2^18
 # elements keeps the index array in cache, and at least 16 inputs spreads each
 # pass's loop overhead when subcubes are large
@@ -47,9 +51,9 @@ class MaxSensitivity(NamedTuple):
 class BlockSensitivityResult:
     value: int
     exact: bool  # False only when a time budget expired; value is then a lower bound
-    witness_input: int
+    witness_input: int  # the smallest input index attaining value
     witness_blocks: tuple[int, ...]  # disjoint variable masks, each flips f at the witness
-    inputs_scanned: int
+    inputs_scanned: int  # inputs whose candidate blocks were computed; the rest were pruned
 
 
 @dataclass(frozen=True)
@@ -252,9 +256,10 @@ def block_sensitivity_at(t: TruthTable, x) -> tuple[int, tuple[int, ...]]:
 def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> BlockSensitivityResult:
     """Exact block sensitivity: max over all inputs of block_sensitivity_at.
 
-    With a budget, the scan stops early and the result is flagged as a lower
-    bound (exact=False) rather than silently reported as exact. n=16 takes
-    from a second to minutes, depending on f; larger n is refused.
+    The witness is the smallest input index attaining the maximum. With a
+    budget, the scan stops at the first input it finishes after the deadline
+    and the result is flagged as a lower bound (exact=False) rather than
+    silently reported as exact. Larger n than the cap is refused.
     """
     if t.n > BS_EXACT_MAX_VARS:
         raise CapacityError(f"exact block sensitivity is capped at n={BS_EXACT_MAX_VARS}")
@@ -262,58 +267,52 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
     bits = t.bits()
     n = t.n
     coord_masks = sensitive_coordinate_masks(t)
-    spread_cache: dict[int, np.ndarray] = {}
+    # one sort: most sensitive coordinates first, the inputs sharing a mask
+    # contiguous, indices ascending within each mask (lexsort is stable)
+    order = np.lexsort((coord_masks, -np.bitwise_count(coord_masks).astype(np.int64)))
+    starts = np.flatnonzero(np.diff(coord_masks[order], prepend=-1)).tolist()
     # many inputs share the same candidate blocks; each distinct packing is solved once
     pack_cache: dict[tuple[tuple[int, ...], int], tuple[int, tuple[int, ...]]] = {}
     best = -1
     best_x = 0
     best_blocks: tuple[int, ...] = ()
     scanned = 0
-    # scan inputs with many sensitive coordinates first; they set a strong
-    # incumbent early and the ceiling S + floor(free/2) prunes the rest
-    order = np.argsort(-np.bitwise_count(coord_masks.astype(np.uint64)), kind="stable")
-    # inputs grouped by sensitive-coordinate mask, each group in scan order:
-    # candidates come from one gather over the next run of a group's inputs
-    rank = np.empty_like(order)
-    rank[order] = np.arange(t.size)
-    grouped = np.lexsort((rank, coord_masks))
-    slot = np.empty_like(grouped)
-    slot[grouped] = np.arange(t.size)
-    group_end = np.searchsorted(coord_masks[grouped], coord_masks, side="right")
-    candidates: dict[int, list[int]] = {}
-    for x in order.tolist():
-        scanned += 1
-        coord_mask = int(coord_masks[x])
-        s_count = hamming_weight(coord_mask)
-        free_count = n - s_count
-        if s_count + free_count // 2 <= best:
-            continue
-        blocks = candidates.pop(x, None)
-        if blocks is None:
-            spread = spread_cache.get(coord_mask)
-            if spread is None:
-                spread = _spread_table(tuple(i for i in range(n) if not (coord_mask >> i) & 1))
-                spread_cache[coord_mask] = spread
-            start = int(slot[x])
-            size = max(_BATCH_MIN_INPUTS, _BATCH_ELEMENTS >> free_count)
-            run = grouped[start : min(int(group_end[x]), start + size)]
-            candidates.update(zip(run.tolist(), _subcube_candidates(bits, run, spread)))
-            blocks = candidates.pop(x)
-        key = (tuple(sorted(blocks)), free_count)
-        packing = pack_cache.get(key)
-        if packing is None:
-            sizes = sorted(hamming_weight(b) for b in blocks)
-            if s_count + _capacity_bound(sizes, free_count) <= best:
-                continue
-            packing = _pack_blocks(blocks, free_count)
-            pack_cache[key] = packing
-        packed, sel = packing
-        value = s_count + packed
-        if value > best:
-            best, best_x = value, x
-            best_blocks = _singleton_masks(coord_mask, n) + sel
-        if deadline is not None and time.monotonic() > deadline and scanned < t.size:
-            return BlockSensitivityResult(max(best, 0), False, best_x, best_blocks, scanned)
+    for lo, hi in zip(starts, starts[1:] + [t.size]):
+        coord_mask = int(coord_masks[order[lo]])
+        free = tuple(i for i in range(n) if not (coord_mask >> i) & 1)
+        free_count = len(free)
+        s_count = n - free_count
+        # the ceiling S + floor(free/2) = floor((n + S)/2) never grows along
+        # the scan, so the first group that cannot reach the incumbent ends it
+        ceiling = s_count + free_count // 2
+        if ceiling < best:
+            break
+        spread = _spread_table(free)
+        group = order[lo:hi]
+        size = max(_BATCH_MIN_INPUTS, _BATCH_ELEMENTS >> free_count)
+        for start in range(0, group.size, size):
+            run = group[start : start + size]
+            if ceiling == best:
+                # a tie wins only at a smaller index; indices ascend, so cut the rest
+                run = run[run < best_x]
+                if not run.size:
+                    break
+            scanned += run.size
+            for x, blocks in zip(run.tolist(), _subcube_candidates(bits, run, spread)):
+                key = (tuple(sorted(blocks)), free_count)
+                packing = pack_cache.get(key)
+                if packing is None:
+                    sizes = sorted(hamming_weight(b) for b in blocks)
+                    if (s_count + _capacity_bound(sizes, free_count), -x) < (best, -best_x):
+                        continue
+                    packing = _pack_blocks(blocks, free_count)
+                    pack_cache[key] = packing
+                packed, sel = packing
+                if (s_count + packed, -x) > (best, -best_x):
+                    best, best_x = s_count + packed, x
+                    best_blocks = _singleton_masks(coord_mask, n) + sel
+                if deadline is not None and time.monotonic() > deadline:
+                    return BlockSensitivityResult(max(best, 0), False, best_x, best_blocks, scanned)
     return BlockSensitivityResult(max(best, 0), True, best_x, best_blocks, scanned)
 
 

@@ -179,8 +179,10 @@ def builtin(name: str, n: int) -> TruthTable:
         _check_vars(n)
         return TruthTable.from_bit_array(popcounts(n) & 1)
     if name == "and":
+        _check_vars(n)
         return TruthTable(n, 1 << ((1 << n) - 1))
     if name == "or":
+        _check_vars(n)
         return TruthTable(n, ((1 << (1 << n)) - 1) & ~1)
     if name == "paper_f":
         if n != 4:

@@ -203,7 +203,6 @@ def run_suites(
         if name == "fourier":
             kwargs["corrupt"] = inject_fault
         if name == "qsim":
-            kwargs["n_max"] = min(n_max, 4)
             kwargs["samples"] = min(samples, 5)
         checks.extend(fn(**kwargs))
     return checks

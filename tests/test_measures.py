@@ -130,24 +130,37 @@ def test_block_sensitivity_at_matches_naive():
 @pytest.mark.parametrize(
     "expr, value, witness, blocks",
     [
-        ("compose(maj(3),paper_f)", 6, 51, (1, 2, 4, 16, 32, 64)),
+        ("compose(maj(3),paper_f)", 6, 3, (64, 128, 1024, 2048, 48, 768)),
         ("compose(paper_f,maj(3))", 6, 91, (1, 2, 8, 16, 128, 256)),
-        ("iterate(paper_f,2)", 9, 563, (1, 2, 4, 16, 32, 64, 256, 1024, 2048)),
+        ("iterate(paper_f,2)", 9, 0, (1024, 2048, 16384, 32768, 68, 136, 768, 12288, 51)),
     ],
 )
 def test_block_sensitivity_pinned_results(expr, value, witness, blocks):
-    # value, witness and blocks as the scan reported them before packings were memoized
-    result = block_sensitivity(dsl.elaborate(expr))
+    # the witness is the smallest input attaining bs, with the packing block_sensitivity_at finds there
+    t = dsl.elaborate(expr)
+    result = block_sensitivity(t)
     assert (result.value, result.witness_input, result.witness_blocks) == (value, witness, blocks)
     assert result.exact
+    assert block_sensitivity_at(t, witness) == (value, blocks)
+    assert all(block_sensitivity_at(t, x)[0] < value for x in range(witness))
+
+
+def test_block_sensitivity_scan_stops_at_first_group_that_cannot_win():
+    # input 0 is sensitive to all 12 coordinates; every other input has a
+    # ceiling of at most floor(13/2), so no other input's candidates are computed
+    result = block_sensitivity(builtin("or", 12))
+    assert (result.value, result.witness_input, result.inputs_scanned) == (12, 0, 1)
 
 
 def test_block_sensitivity_witness_agrees_with_single_input(small_corpus):
-    # block_sensitivity_at packs from scratch, without the scan's memo
+    # block_sensitivity_at packs from scratch, without the scan's memo; the
+    # witness is the smallest input attaining bs, whatever order the scan takes
     for n, tables in small_corpus.items():
         for t in tables:
             result = block_sensitivity(t)
             assert block_sensitivity_at(t, result.witness_input) == (result.value, result.witness_blocks)
+            smallest = next(x for x in range(t.size) if block_sensitivity_at(t, x)[0] == result.value)
+            assert result.witness_input == smallest
 
 
 @pytest.mark.parametrize(

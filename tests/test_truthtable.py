@@ -158,7 +158,10 @@ def test_builtins_at_the_variable_cap():
     for x in idx.tolist():
         assert parity.bit_at(x) == bin(x).count("1") & 1
         assert maj.bit_at(x >> 1) == int(bin(x >> 1).count("1") >= 10)
-    for name, n in (("parity", 21), ("parity", 0), ("maj", 21), ("maj", -1)):
+    for name, n in (
+        ("parity", 21), ("parity", 0), ("maj", 21), ("maj", -1),
+        ("and", -1), ("and", 21), ("or", 0), ("or", 21),
+    ):
         with pytest.raises(CapacityError):
             builtin(name, n)
     with pytest.raises(InputError):
