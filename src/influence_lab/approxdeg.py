@@ -14,12 +14,22 @@ polynomials of Beals et al.) has larger minimax errors, 1/3 for that OR, and
 is not what this module computes.
 
 The LP per degree is the Chebyshev form: minimize t subject to
--t <= p(x) - f(x) <= t over all 2^n inputs, with p written in the character
-basis over masks of popcount <= d. One solve yields the minimax error t*_d,
-and approx_degree is the smallest d whose t*_d clears the threshold. Solved
-with scipy's HiGHS; every returned polynomial is re-checked against all 2^n
-constraints, and small instances are cross-validated in the tests against
-the exact rational simplex in lp.py.
+-t <= p(x) - f(x) <= t over all 2^n inputs. Its variables are the 2^n
+values p(x) and t, so these bound rows are a sparse identity block plus the
+t column. "deg p <= d" is stated in whichever of two equivalent forms is
+smaller, with k = #{S : |S| <= d} and m = 2^n - k:
+- kernel encoding (m <= k): the m equality rows sum_x p(x) chi_S(x) = 0,
+  one per mask S of popcount > d;
+- image encoding (otherwise): p = H c, with H the 2^n x k character
+  matrix of the masks of popcount <= d and the k coefficients c as extra
+  free variables.
+The choice depends on (n, d) only. The returned coefficients are one
+butterfly of p divided by 2^n, cut to the masks of popcount <= d, so the
+polynomial has degree <= d by construction. One solve yields the minimax
+error t*_d, and approx_degree is the smallest d whose t*_d clears the
+threshold. Solved with scipy's HiGHS; every returned polynomial is
+re-checked against all 2^n constraints, and small instances are
+cross-validated in the tests against the exact rational simplex in lp.py.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from ._util import popcounts
@@ -70,6 +81,12 @@ def _character_matrix(n: int, masks: np.ndarray) -> np.ndarray:
     return np.where(overlap & 1, -1.0, 1.0)
 
 
+def _truncated(n: int, dense: np.ndarray, d: int) -> MultilinearPoly:
+    """The polynomial with the nonzero coefficients of dense at masks of popcount <= d."""
+    keep = np.flatnonzero((popcounts(n) <= d) & (dense != 0.0))
+    return MultilinearPoly(n, dict(zip(keep.tolist(), dense[keep].tolist())), d)
+
+
 def max_abs_error(poly: MultilinearPoly, t: TruthTable) -> float:
     return float(np.max(np.abs(poly.values() - t.bits().astype(np.float64))))
 
@@ -84,31 +101,45 @@ def min_error_at_degree(t: TruthTable, d: int) -> tuple[float, MultilinearPoly]:
         raise CapacityError(f"LP fits are capped at n={LP_MAX_VARS}")
     if not 0 <= d <= t.n:
         raise InputError(f"degree must be in 0..{t.n}, got {d}")
-    masks = np.nonzero(popcounts(t.n) <= d)[0]
-    chars = _character_matrix(t.n, masks)
     size = 1 << t.n
-    k = masks.shape[0]
+    low = popcounts(t.n) <= d
     f01 = t.bits().astype(np.float64)
 
-    # variables: c_0..c_{k-1}, t ; rows: chars.c - t <= f and -chars.c - t <= -f
-    a_ub = np.zeros((2 * size, k + 1))
-    a_ub[:size, :k] = chars
-    a_ub[size:, :k] = -chars
-    a_ub[:, k] = -1.0
-    b_ub = np.concatenate([f01, -f01])
-    cost = np.zeros(k + 1)
-    cost[k] = 1.0
+    # variables: p(x) at every input, then t; rows p - t <= f and -p - t <= -f
+    eye = sparse.identity(size, format="csr")
+    minus_t = np.full((size, 1), -1.0)
+    a_ub = sparse.bmat([[eye, minus_t], [-eye, minus_t]], format="csr")
+    high_masks, low_masks = np.flatnonzero(~low), np.flatnonzero(low)
+    if high_masks.size <= low_masks.size:
+        # kernel encoding: p is orthogonal to every character of degree > d
+        chars = sparse.csr_array(_character_matrix(t.n, high_masks).T)
+        a_eq = sparse.hstack([chars, sparse.csr_array((high_masks.size, 1))], format="csr")
+    else:
+        # image encoding: p = H_{<=d} c, the coefficients c as extra free variables
+        chars = sparse.csr_array(_character_matrix(t.n, low_masks))
+        a_eq = sparse.hstack([eye, sparse.csr_array((size, 1)), -chars], format="csr")
+        a_ub = sparse.hstack([a_ub, sparse.csr_array((2 * size, low_masks.size))], format="csr")
+    width = a_ub.shape[1]
+    cost = np.zeros(width)
+    cost[size] = 1.0
+    bounds = np.full((width, 2), [-np.inf, np.inf])
+    bounds[size, 0] = 0.0
     res = linprog(
         cost,
         A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] * k + [(0, None)],
+        b_ub=np.concatenate([f01, -f01]),
+        A_eq=a_eq,
+        b_eq=np.zeros(a_eq.shape[0]),
+        bounds=bounds,
         method="highs",
+        # below FEAS_TOL: at HiGHS's default 1e-7 a bound row may be violated by
+        # more than FEAS_TOL, and re-verification fails (maj(9) at d = 4)
+        options={"primal_feasibility_tolerance": 1e-10},
     )
     if not res.success:
         raise SolverError(f"LP solve failed at degree {d}: {res.message}")
-    coeffs = {int(s): float(c) for s, c in zip(masks, res.x[:k]) if c != 0.0}
-    poly = MultilinearPoly(t.n, coeffs, d)
+    # the coefficients of p, cut to degree <= d, so the re-check sees a true degree-d polynomial
+    poly = _truncated(t.n, butterfly(res.x[:size], np.float64) / size, d)
     t_star = float(res.fun)
     achieved = max_abs_error(poly, t)
     if achieved > t_star + FEAS_TOL:
@@ -122,6 +153,7 @@ def min_error_at_degree(t: TruthTable, d: int) -> tuple[float, MultilinearPoly]:
 @dataclass
 class DegreeScan:
     degree: int
+    exact_degree: int
     errors: dict[int, float] = field(default_factory=dict)  # d -> t*_d for solved d
     polynomials: dict[int, MultilinearPoly] = field(default_factory=dict)
 
@@ -134,20 +166,28 @@ def approx_degree_scan(t: TruthTable, eps: float, max_degree: int | None = None)
     """Smallest d with t*_d <= eps + 1e-9, binary-searched over d.
 
     t*_d is nonincreasing in d (a lower degree bound only removes freedom),
-    which makes the threshold crossing monotone. The scan starts from the
-    exact degree as a known-zero upper end.
+    which makes the threshold crossing monotone. Known answers need no
+    solve: for d >= deg f, t*_d = 0 and f's own expansion is optimal; for
+    smaller d, t*_d >= max_{|S| > d} |c_S| over f's coefficients c, since
+    each character chi_S is a dual certificate. The search runs between the
+    last degree that bound rules out and the exact degree (or max_degree),
+    and the report always holds t*_{d-1} beside the answer d.
     """
     if not 0 <= eps < 0.5:
         raise InputError(f"error probability must be in [0, 0.5), got {eps}")
-    hi = exact_degree(t) if max_degree is None else min(max_degree, t.n)
-    scan = DegreeScan(degree=hi)
+    deg = exact_degree(t)
+    hi = deg if max_degree is None else min(max_degree, t.n)
+    scan = DegreeScan(degree=hi, exact_degree=deg)
     threshold = eps + FEAS_TOL
+    # f's own 0/1 expansion; exact, since its coefficients are dyadic
+    expansion = butterfly(t.bits(), np.float64) / (1 << t.n)
 
     def solved(d: int) -> float:
         if d not in scan.errors:
-            t_star, poly = min_error_at_degree(t, d)
-            scan.errors[d] = t_star
-            scan.polynomials[d] = poly
+            if d >= deg:
+                scan.errors[d], scan.polynomials[d] = 0.0, _truncated(t.n, expansion, d)
+            else:
+                scan.errors[d], scan.polynomials[d] = min_error_at_degree(t, d)
         return scan.errors[d]
 
     if solved(hi) > threshold:
@@ -155,7 +195,9 @@ def approx_degree_scan(t: TruthTable, eps: float, max_degree: int | None = None)
             f"no polynomial of degree <= {hi} reaches error {eps}"
             + (" (max_degree cap)" if max_degree is not None else "")
         )
-    lo = 0
+    # t*_d >= |c_S| for every |S| > d, so degrees below lo are ruled out unsolved
+    magnitude, pc = np.abs(expansion), popcounts(t.n)
+    lo = sum(bool(magnitude[pc > d].max() > threshold) for d in range(hi))
     # invariant: solved(hi) <= threshold; answer in [lo, hi]
     while lo < hi:
         mid = (lo + hi) // 2
@@ -164,7 +206,8 @@ def approx_degree_scan(t: TruthTable, eps: float, max_degree: int | None = None)
         else:
             lo = mid + 1
     scan.degree = hi
-    solved(hi)
+    if hi > 0:
+        solved(hi - 1)
     return scan
 
 

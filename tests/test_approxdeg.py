@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from influence_lab import measures
+from influence_lab import approxdeg, measures
 from influence_lab.approxdeg import (
+    FEAS_TOL,
     MultilinearPoly,
     approx_degree,
     approx_degree_scan,
@@ -78,7 +79,8 @@ def test_exact_minimax_parity2():
 
 
 def test_exact_matches_scipy():
-    for n in (2, 3):
+    # n = 2..4 reaches both LP encodings: kernel rows when few masks exceed d, image rows otherwise
+    for n in (2, 3, 4):
         for seed in range(6):
             t = random_table(n, 1300 + seed)
             for d in range(n + 1):
@@ -108,6 +110,56 @@ def test_min_error_interpolates_at_exact_degree():
         t_star, poly = min_error_at_degree(t, exact_degree(t))
         assert t_star <= 1e-9
         assert max_abs_error(poly, t) <= 1e-9
+
+
+def test_exact_degree_shortcut_agrees_with_lp(small_corpus):
+    # the scan answers d = deg f from f's own expansion; the LP must agree there
+    for tables in small_corpus.values():
+        for t in tables[:4]:
+            deg = exact_degree(t)
+            t_star, poly = min_error_at_degree(t, deg)
+            known = approx_degree_scan(t, 0.0).polynomials[deg]
+            assert t_star <= 1e-9
+            for s in set(poly.coeffs) | set(known.coeffs):
+                assert poly.coeffs.get(s, 0.0) == pytest.approx(known.coeffs.get(s, 0.0), abs=1e-9)
+
+
+def test_eps_zero_scan_solves_only_the_degree_below(monkeypatch):
+    solved = []
+
+    def counting(t, d):
+        solved.append(d)
+        return min_error_at_degree(t, d)
+
+    monkeypatch.setattr(approxdeg, "min_error_at_degree", counting)
+    for seed in range(4):
+        t = random_table(6, 2300 + seed)
+        deg = exact_degree(t)
+        solved.clear()
+        scan = approx_degree_scan(t, 0.0)
+        assert scan.degree == scan.exact_degree == deg
+        assert solved == [deg - 1]
+        assert scan.errors[deg] == 0.0 and scan.errors[deg - 1] > 0.0
+        assert max_abs_error(scan.polynomial, t) == 0.0
+
+
+def test_min_error_no_reverification_failure_at_n9():
+    # the dense coefficient LP reported 0.2204435093 here while its polynomial
+    # achieved 0.2204435113, and re-verification raised SolverError
+    t = random_table(9, 2)
+    t_star, poly = min_error_at_degree(t, 6)
+    assert max_abs_error(poly, t) <= t_star + FEAS_TOL
+    assert t_star == pytest.approx(0.2204435097, abs=1e-8)
+    assert all(bin(s).count("1") <= 6 for s in poly.coeffs)
+
+
+def test_min_error_maj9_within_solver_tolerance():
+    # at HiGHS's default primal feasibility tolerance (1e-7) the returned p
+    # missed the reported objective by 1.3e-9 and failed re-verification
+    t = builtin("maj", 9)
+    t_star, poly = min_error_at_degree(t, 4)
+    assert max_abs_error(poly, t) <= t_star + FEAS_TOL
+    assert t_star == pytest.approx(2 / 7, abs=1e-9)
 
 
 def test_min_error_or2_degree1():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from influence_lab import cli, qsim
-from influence_lab.truthtable import builtin, write_table
+from influence_lab.truthtable import builtin, random_table, write_table
 
 
 def run_cli(*argv):
@@ -132,6 +132,16 @@ def test_approx_degree_command():
     assert all(e["s"] in (0, 1, 2) for e in report["polynomial"])
     report = run_json("approx-degree", "--expr", "parity(4)")
     assert report["degree"] == 4
+
+
+def test_approx_degree_random_9_variable_table(tmp_path):
+    # exited 1 on a failed LP re-verification at degree 6
+    path = tmp_path / "r9.json"
+    write_table(random_table(9, 2), path)
+    report = run_json("approx-degree", "--table", str(path), "--eps", "0.3333")
+    assert report["degree"] == 5
+    assert report["exact_degree"] == 9
+    assert report["errors_by_degree"]["4"] > 0.3333 >= report["errors_by_degree"]["5"]
 
 
 def test_simulate_parity_tightness():
