@@ -14,20 +14,22 @@ polynomials of Beals et al.) has larger minimax errors, 1/3 for that OR, and
 is not what this module computes.
 
 The LP per degree is the Chebyshev form: minimize t subject to
--t <= p(x) - f(x) <= t over all 2^n inputs. Its variables are the 2^n
-values p(x) and t, so these bound rows are a sparse identity block plus the
-t column. "deg p <= d" is stated in whichever of two equivalent forms is
-smaller, with k = #{S : |S| <= d} and m = 2^n - k:
-- kernel encoding (m <= k): the m equality rows sum_x p(x) chi_S(x) = 0,
-  one per mask S of popcount > d;
-- image encoding (otherwise): p = H c, with H the 2^n x k character
-  matrix of the masks of popcount <= d and the k coefficients c as extra
-  free variables.
-The choice depends on (n, d) only. The returned coefficients are one
-butterfly of p divided by 2^n, cut to the masks of popcount <= d, so the
-polynomial has degree <= d by construction. One solve yields the minimax
-error t*_d, and approx_degree is the smallest d whose t*_d clears the
-threshold. Solved with scipy's HiGHS; every returned polynomial is
+-t <= p(x) - f(x) <= t over all 2^n inputs, with deg p <= d. It is solved
+in homogenized form. Below deg f the optimum t* is positive, so write
+p = f + t v with |v(x)| <= 1 and s = 1/t, and maximize s. The bound rows
+become the column bounds -1 <= v <= 1, and no row couples p to t. "deg p
+<= d" is stated in whichever of two equivalent forms is smaller, with
+k = #{S : |S| <= d}, m = 2^n - k and H the character matrix:
+- kernel encoding (m <= k): the m rows H_{>d}^T v + s b = 0, one per mask S
+  of popcount > d, where b = H_{>d}^T f is exact (a sum of +-1 * {0, 1});
+- image encoding (otherwise): the 2^n rows v - H_{<=d} c' + s f = 0, with
+  the k scaled coefficients c' as extra free variables.
+The choice depends on (n, d) only. HiGHS reports the LP unbounded exactly
+when d >= deg f; then t*_d = 0 and f's own expansion cut to degree d is the
+answer. Otherwise t*_d = 1/s, and the returned coefficients are one
+butterfly of p = f + v/s divided by 2^n, cut to the masks of popcount <= d,
+so the polynomial has degree <= d by construction. approx_degree is the
+smallest d whose t*_d clears the threshold. Every returned polynomial is
 re-checked against all 2^n constraints, and small instances are
 cross-validated in the tests against the exact rational simplex in lp.py.
 """
@@ -45,7 +47,7 @@ from .errors import CapacityError, ConsistencyError, InputError, SolverError
 from .fourier import butterfly, spectral_degree, wht
 from .truthtable import TruthTable
 
-LP_MAX_VARS = 12  # 2*2^12 constraints; refuse beyond rather than grind
+LP_MAX_VARS = 12  # at most 2^12 rows and about 1.5*2^12 columns; refuse beyond rather than grind
 FEAS_TOL = 1e-9
 
 
@@ -58,9 +60,10 @@ class MultilinearPoly:
     degree: int  # declared bound; every stored mask obeys it
 
     def __post_init__(self):
-        for s in self.coeffs:
-            if bin(s).count("1") > self.degree:
-                raise InputError(f"mask {s:#x} exceeds the declared degree {self.degree}")
+        masks = np.fromiter(self.coeffs, dtype=np.uint64, count=len(self.coeffs))
+        over = masks[np.bitwise_count(masks) > self.degree]
+        if over.size:
+            raise InputError(f"mask {int(over[0]):#x} exceeds the declared degree {self.degree}")
 
     def values(self) -> np.ndarray:
         """p at every input, index convention shared with TruthTable."""
@@ -104,43 +107,38 @@ def min_error_at_degree(t: TruthTable, d: int) -> tuple[float, MultilinearPoly]:
     size = 1 << t.n
     low = popcounts(t.n) <= d
     f01 = t.bits().astype(np.float64)
+    f_hat = butterfly(f01, np.float64)  # H^T f, exact: sums of +-1 * {0, 1} terms
 
-    # variables: p(x) at every input, then t; rows p - t <= f and -p - t <= -f
-    eye = sparse.identity(size, format="csr")
-    minus_t = np.full((size, 1), -1.0)
-    a_ub = sparse.bmat([[eye, minus_t], [-eye, minus_t]], format="csr")
+    # variables: v(x) at every input, then s = 1/t, so that p = f + v/s
     high_masks, low_masks = np.flatnonzero(~low), np.flatnonzero(low)
     if high_masks.size <= low_masks.size:
-        # kernel encoding: p is orthogonal to every character of degree > d
-        chars = sparse.csr_array(_character_matrix(t.n, high_masks).T)
-        a_eq = sparse.hstack([chars, sparse.csr_array((high_masks.size, 1))], format="csr")
+        # kernel encoding: H_{>d}^T v + s H_{>d}^T f = 0
+        a_eq = np.hstack([_character_matrix(t.n, high_masks).T, f_hat[high_masks, None]])
     else:
-        # image encoding: p = H_{<=d} c, the coefficients c as extra free variables
-        chars = sparse.csr_array(_character_matrix(t.n, low_masks))
-        a_eq = sparse.hstack([eye, sparse.csr_array((size, 1)), -chars], format="csr")
-        a_ub = sparse.hstack([a_ub, sparse.csr_array((2 * size, low_masks.size))], format="csr")
-    width = a_ub.shape[1]
-    cost = np.zeros(width)
-    cost[size] = 1.0
-    bounds = np.full((width, 2), [-np.inf, np.inf])
-    bounds[size, 0] = 0.0
+        # image encoding: v - H_{<=d} c' + s f = 0, the scaled coefficients c' as extra free variables
+        a_eq = sparse.hstack([sparse.identity(size), f01[:, None], -_character_matrix(t.n, low_masks)])
+    cost = np.zeros(a_eq.shape[1])
+    cost[size] = -1.0
     res = linprog(
         cost,
-        A_ub=a_ub,
-        b_ub=np.concatenate([f01, -f01]),
-        A_eq=a_eq,
+        A_eq=sparse.csr_array(a_eq),
         b_eq=np.zeros(a_eq.shape[0]),
-        bounds=bounds,
+        bounds=[(-1.0, 1.0)] * size + [(0.0, None)] + [(None, None)] * (cost.size - size - 1),
         method="highs",
-        # below FEAS_TOL: at HiGHS's default 1e-7 a bound row may be violated by
+        # below FEAS_TOL: at HiGHS's default 1e-7 a bound may be violated by
         # more than FEAS_TOL, and re-verification fails (maj(9) at d = 4)
         options={"primal_feasibility_tolerance": 1e-10},
     )
-    if not res.success:
+    if res.status == 3:
+        # s unbounded: t*_d = 0, which happens exactly when d >= deg f
+        t_star, dense = 0.0, f_hat / size
+    elif res.success:
+        t_star = float(1.0 / res.x[size])
+        dense = butterfly(f01 + t_star * res.x[:size], np.float64) / size
+    else:
         raise SolverError(f"LP solve failed at degree {d}: {res.message}")
     # the coefficients of p, cut to degree <= d, so the re-check sees a true degree-d polynomial
-    poly = _truncated(t.n, butterfly(res.x[:size], np.float64) / size, d)
-    t_star = float(res.fun)
+    poly = _truncated(t.n, dense, d)
     achieved = max_abs_error(poly, t)
     if achieved > t_star + FEAS_TOL:
         raise SolverError(

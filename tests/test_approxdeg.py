@@ -153,6 +153,44 @@ def test_min_error_no_reverification_failure_at_n9():
     assert all(bin(s).count("1") <= 6 for s in poly.coeffs)
 
 
+def test_min_error_tightest_margins_at_n9():
+    # random_table(9,2) at d = 5 has the smallest re-verification margin seen
+    # (achieved - t* about 1.7e-10); random_table(9,5) at d = 4 once crashed
+    t = random_table(9, 2)
+    t_star, poly = min_error_at_degree(t, 5)
+    assert t_star == pytest.approx(0.322181802405, abs=1e-9)
+    assert max_abs_error(poly, t) <= t_star + FEAS_TOL
+    t = random_table(9, 5)
+    t_star, poly = min_error_at_degree(t, 4)
+    assert t_star == pytest.approx(0.5, abs=1e-9)
+    assert max_abs_error(poly, t) <= t_star + FEAS_TOL
+
+
+def test_highs_unbounded_exactly_from_exact_degree(monkeypatch):
+    # in the homogenized LP s = 1/t is unbounded when t*_d = 0, i.e. d >= deg f
+    calls, solve = [], approxdeg.linprog
+
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        calls.append((kwargs["A_eq"].shape[0], res.status))
+        return res
+
+    monkeypatch.setattr(approxdeg, "linprog", recording)
+    # paper_f (degree 3), x0 on 3 variables, x0 AND x1 on 4 variables
+    for t in (PAPER_F, TruthTable(3, 0xAA), TruthTable(4, 0x8888)):
+        deg = exact_degree(t)
+        assert deg < t.n
+        calls.clear()
+        for d in (deg, t.n):
+            t_star, poly = min_error_at_degree(t, d)
+            assert t_star == 0.0 and max_abs_error(poly, t) <= FEAS_TOL
+        t_star, _ = min_error_at_degree(t, deg - 1)
+        assert t_star > 0.0
+        # at d = n the kernel encoding has no rows at all
+        assert [status for _, status in calls] == [3, 3, 0]
+        assert calls[1][0] == 0
+
+
 def test_min_error_maj9_within_solver_tolerance():
     # at HiGHS's default primal feasibility tolerance (1e-7) the returned p
     # missed the reported objective by 1.3e-9 and failed re-verification
