@@ -27,11 +27,13 @@ k = #{S : |S| <= d}, m = 2^n - k and H the character matrix:
 The choice depends on (n, d) only. HiGHS reports the LP unbounded exactly
 when d >= deg f; then t*_d = 0 and f's own expansion cut to degree d is the
 answer. Otherwise t*_d = 1/s, and the returned coefficients are one
-butterfly of p = f + v/s divided by 2^n, cut to the masks of popcount <= d,
-so the polynomial has degree <= d by construction. approx_degree is the
-smallest d whose t*_d clears the threshold. Every returned polynomial is
-re-checked against all 2^n constraints, and small instances are
-cross-validated in the tests against the exact rational simplex in lp.py.
+butterfly of p = f + v/s divided by 2^n, zeroed at the masks of popcount
+> d, so the polynomial has degree <= d by construction. A MultilinearPoly
+holds them dense over all 2^n masks, one float64 vector, so its values()
+is one more butterfly. approx_degree is the smallest d whose t*_d clears
+the threshold. Every returned polynomial is re-checked against all 2^n
+constraints, and small instances are cross-validated in the tests against
+the exact rational simplex in lp.py.
 """
 
 from __future__ import annotations
@@ -53,24 +55,27 @@ FEAS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MultilinearPoly:
-    """Real polynomial in the character basis: p(x) = sum_s c_s (-1)^(s.x)."""
+    """Real polynomial in the character basis: p(x) = sum_s coeffs[s] (-1)^(s.x).
+
+    coeffs is dense over all 2^n masks (float64), zero at every mask of
+    popcount above degree, the layout of FourierSpectrum.sums.
+    """
 
     n: int
-    coeffs: dict[int, float]
-    degree: int  # declared bound; every stored mask obeys it
+    coeffs: np.ndarray
+    degree: int  # declared bound; every nonzero coefficient obeys it
 
     def __post_init__(self):
-        masks = np.fromiter(self.coeffs, dtype=np.uint64, count=len(self.coeffs))
-        over = masks[np.bitwise_count(masks) > self.degree]
+        if self.coeffs.shape != (1 << self.n,):
+            raise InputError(f"expected {1 << self.n} coefficients, got shape {self.coeffs.shape}")
+        over = np.flatnonzero((popcounts(self.n) > self.degree) & (self.coeffs != 0))
         if over.size:
             raise InputError(f"mask {int(over[0]):#x} exceeds the declared degree {self.degree}")
 
     def values(self) -> np.ndarray:
         """p at every input, index convention shared with TruthTable."""
-        dense = np.zeros(1 << self.n)
-        dense[list(self.coeffs)] = list(self.coeffs.values())
-        # inverse character transform: value[x] = sum_s dense[s] * (-1)^(s.x)
-        return butterfly(dense, np.float64)
+        # inverse character transform: value[x] = sum_s coeffs[s] * (-1)^(s.x)
+        return butterfly(self.coeffs, np.float64)
 
 
 def exact_degree(t: TruthTable) -> int:
@@ -85,9 +90,8 @@ def _character_matrix(n: int, masks: np.ndarray) -> np.ndarray:
 
 
 def _truncated(n: int, dense: np.ndarray, d: int) -> MultilinearPoly:
-    """The polynomial with the nonzero coefficients of dense at masks of popcount <= d."""
-    keep = np.flatnonzero((popcounts(n) <= d) & (dense != 0.0))
-    return MultilinearPoly(n, dict(zip(keep.tolist(), dense[keep].tolist())), d)
+    """The polynomial with the coefficients of dense at masks of popcount <= d."""
+    return MultilinearPoly(n, np.where(popcounts(n) <= d, dense, 0.0), d)
 
 
 def max_abs_error(poly: MultilinearPoly, t: TruthTable) -> float:
@@ -193,9 +197,9 @@ def approx_degree_scan(t: TruthTable, eps: float, max_degree: int | None = None)
             f"no polynomial of degree <= {hi} reaches error {eps}"
             + (" (max_degree cap)" if max_degree is not None else "")
         )
-    # t*_d >= |c_S| for every |S| > d, so degrees below lo are ruled out unsolved
-    magnitude, pc = np.abs(expansion), popcounts(t.n)
-    lo = sum(bool(magnitude[pc > d].max() > threshold) for d in range(hi))
+    # t*_d >= |c_S| for every |S| > d, so every d below the largest |S| with
+    # |c_S| > threshold is ruled out unsolved
+    lo = min(hi, int(popcounts(t.n)[np.abs(expansion) > threshold].max(initial=0)))
     # invariant: solved(hi) <= threshold; answer in [lo, hi]
     while lo < hi:
         mid = (lo + hi) // 2
@@ -227,9 +231,7 @@ def mean_square_flip(poly: MultilinearPoly) -> float:
         diff = view[:, 0, :] - view[:, 1, :]
         total += 2.0 * float(np.sum(diff * diff))
     enumerated = total / (n * (1 << n))
-    spectral = 4.0 * sum(
-        c * c * bin(s).count("1") for s, c in poly.coeffs.items()
-    ) / n
+    spectral = 4.0 * float(poly.coeffs**2 @ popcounts(n)) / n
     if abs(enumerated - spectral) > 1e-9:
         raise ConsistencyError(
             f"flip statistic disagrees: enumeration {enumerated} vs spectral {spectral}"

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification or solver failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -35,19 +36,12 @@ class _Timer:
         self.enabled = enabled
         self.stages: dict[str, float] = {}
 
+    @contextlib.contextmanager
     def stage(self, name: str):
-        timer = self
-
-        class _Stage:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                if timer.enabled:
-                    timer.stages[name] = round((time.perf_counter() - self.t0) * 1000.0, 3)
-                return False
-
-        return _Stage()
+        t0 = time.perf_counter()
+        yield
+        if self.enabled:
+            self.stages[name] = round((time.perf_counter() - t0) * 1000.0, 3)
 
 
 def _load_table(args) -> tuple[TruthTable, dict]:
@@ -117,8 +111,15 @@ def _bounds_section(report: bounds.BoundReport) -> dict:
     }
 
 
-def _poly_entries(poly: approxdeg.MultilinearPoly) -> list[dict]:
-    return [{"s": s, "c": poly.coeffs[s]} for s in sorted(poly.coeffs)]
+def _scan_section(scan: approxdeg.DegreeScan, t: TruthTable) -> dict:
+    coeffs = scan.polynomial.coeffs
+    masks = np.flatnonzero(coeffs)  # ascending
+    return {
+        "degree": scan.degree,
+        "errors_by_degree": {str(d): scan.errors[d] for d in sorted(scan.errors)},
+        "polynomial": [{"s": s, "c": c} for s, c in zip(masks.tolist(), coeffs[masks].tolist())],
+        "achieved_error": approxdeg.max_abs_error(scan.polynomial, t),
+    }
 
 
 def cmd_analyze(args) -> tuple[dict, int]:
@@ -137,12 +138,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         with timer.stage("approx_degree"):
             scan = approxdeg.approx_degree_scan(t, args.eps, args.max_degree)
             approx_d = scan.degree
-            approx_section = {
-                "degree": scan.degree,
-                "errors_by_degree": {str(d): scan.errors[d] for d in sorted(scan.errors)},
-                "polynomial": _poly_entries(scan.polynomial),
-                "achieved_error": approxdeg.max_abs_error(scan.polynomial, t),
-            }
+            approx_section = _scan_section(scan, t)
     with timer.stage("bounds"):
         bs_value = (
             mreport.block_sensitivity.value
@@ -169,15 +165,11 @@ def cmd_approx_degree(args) -> tuple[dict, int]:
     t, source = _load_table(args)
     with timer.stage("scan"):
         scan = approxdeg.approx_degree_scan(t, args.eps, args.max_degree)
-    poly = scan.polynomial
     report = {
         "schema": 1,
         "input": source,
         "eps": args.eps,
-        "degree": scan.degree,
-        "errors_by_degree": {str(d): scan.errors[d] for d in sorted(scan.errors)},
-        "polynomial": _poly_entries(poly),
-        "achieved_error": approxdeg.max_abs_error(poly, t),
+        **_scan_section(scan, t),
         "exact_degree": scan.exact_degree,
         "timing_ms": timer.stages,
     }
@@ -185,10 +177,8 @@ def cmd_approx_degree(args) -> tuple[dict, int]:
 
 
 def _simulate_table(args, n: int) -> TruthTable:
-    if args.expr:
-        return dsl.elaborate(args.expr)
-    if args.table:
-        return read_table(args.table)
+    if args.expr or args.table:
+        return _load_table(args)[0]
     if args.algorithm == "parity":
         return builtin("parity", n)
     if args.algorithm == "grover":

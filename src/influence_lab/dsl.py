@@ -263,7 +263,7 @@ def _collect_vars(node: Node, out: set) -> None:
         out.add(node.value)
         return
     if node.kind == "call":
-        if _is_function_literal(node) or node.value in ("compose", "iterate"):
+        if _is_function_literal(node):
             raise InputError(
                 f"function-valued expression {node.value!r} used where a bit is required"
             )

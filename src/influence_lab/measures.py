@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import hamming_weight
 from .errors import CapacityError, InputError
 from .truthtable import TruthTable
 
@@ -194,8 +193,8 @@ def _pack_blocks(blocks: list[int], n: int) -> tuple[int, tuple[int, ...]]:
     """
     if not blocks:
         return 0, ()
-    order = sorted(blocks, key=lambda b: (hamming_weight(b), b))
-    sizes = [hamming_weight(b) for b in order]
+    order = sorted(blocks, key=lambda b: (b.bit_count(), b))
+    sizes = [b.bit_count() for b in order]
     count = len(order)
     best_count = 0
     best_sel: tuple[int, ...] = ()
@@ -302,7 +301,7 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
                 key = (tuple(sorted(blocks)), free_count)
                 packing = pack_cache.get(key)
                 if packing is None:
-                    sizes = sorted(hamming_weight(b) for b in blocks)
+                    sizes = sorted(b.bit_count() for b in blocks)
                     if (s_count + _capacity_bound(sizes, free_count), -x) < (best, -best_x):
                         continue
                     packing = _pack_blocks(blocks, free_count)

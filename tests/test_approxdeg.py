@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from influence_lab import approxdeg, measures
@@ -120,8 +121,7 @@ def test_exact_degree_shortcut_agrees_with_lp(small_corpus):
             t_star, poly = min_error_at_degree(t, deg)
             known = approx_degree_scan(t, 0.0).polynomials[deg]
             assert t_star <= 1e-9
-            for s in set(poly.coeffs) | set(known.coeffs):
-                assert poly.coeffs.get(s, 0.0) == pytest.approx(known.coeffs.get(s, 0.0), abs=1e-9)
+            assert poly.coeffs == pytest.approx(known.coeffs, abs=1e-9)
 
 
 def test_eps_zero_scan_solves_only_the_degree_below(monkeypatch):
@@ -150,7 +150,7 @@ def test_min_error_no_reverification_failure_at_n9():
     t_star, poly = min_error_at_degree(t, 6)
     assert max_abs_error(poly, t) <= t_star + FEAS_TOL
     assert t_star == pytest.approx(0.2204435097, abs=1e-8)
-    assert all(bin(s).count("1") <= 6 for s in poly.coeffs)
+    assert all(bin(s).count("1") <= 6 for s in np.flatnonzero(poly.coeffs).tolist())
 
 
 def test_min_error_tightest_margins_at_n9():
@@ -241,9 +241,11 @@ def test_approx_degree_paper_f():
 
 def test_polynomial_respects_degree_bound():
     _, poly = min_error_at_degree(random_table(4, 99), 2)
-    assert all(bin(s).count("1") <= 2 for s in poly.coeffs)
+    assert all(bin(s).count("1") <= 2 for s in np.flatnonzero(poly.coeffs).tolist())
     with pytest.raises(InputError):
-        MultilinearPoly(3, {0b111: 1.0}, 2)
+        MultilinearPoly(3, np.eye(8)[0b111], 2)
+    with pytest.raises(InputError):
+        MultilinearPoly(3, np.ones(4), 3)
 
 
 def test_scan_respects_max_degree_cap():
@@ -267,13 +269,13 @@ def test_eps_range():
 
 
 def test_mean_square_flip_constant():
-    assert mean_square_flip(MultilinearPoly(3, {0: 0.7}, 0)) == 0.0
+    assert mean_square_flip(MultilinearPoly(3, np.eye(8)[0] * 0.7, 0)) == 0.0
 
 
 def test_mean_square_flip_single_character():
     # a lone character with mass c^2 at weight w gives 4 c^2 w / n
     for n, s in [(3, 0b101), (4, 0b1), (5, 0b11111)]:
-        poly = MultilinearPoly(n, {s: 1.0}, n)
+        poly = MultilinearPoly(n, np.eye(1 << n)[s], n)
         w = bin(s).count("1")
         assert mean_square_flip(poly) == pytest.approx(4 * w / n, abs=1e-12)
 

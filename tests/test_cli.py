@@ -39,6 +39,13 @@ def test_analyze_schema_and_consistency():
     }
     assert report["schema"] == 1
     assert report["timing_ms"] == {}
+    for argv, stages in (
+        (("analyze", "--expr", "parity(8)", "--timing"), {"measures", "spectrum", "bounds"}),
+        (("approx-degree", "--expr", "or(3)", "--timing"), {"scan"}),
+    ):
+        timing = run_json(*argv)["timing_ms"]
+        assert set(timing) == stages
+        assert all(isinstance(ms, float) and ms >= 0.0 for ms in timing.values())
     m, b = report["measures"], report["bounds"]
     assert m["rho"] == "1"
     assert b["query_influence"]["value"] == 4.0  # (1 - 0)/2 * 1 * 8
@@ -175,11 +182,16 @@ def test_simulate_grover():
         assert errors[1 << i] < 1e-9
 
 
-def test_simulate_usage():
-    code, _ = run_cli("simulate", "--algorithm", "serial", "--n", "3")
-    assert code == 2  # serial needs a target function
-    code, _ = run_cli("simulate", "--algorithm", "parity", "--n", "4", "--expr", "parity(6)")
-    assert code == 2  # n mismatch
+def test_simulate_usage(tmp_path):
+    path = tmp_path / "f.json"
+    write_table(builtin("parity", 4), path)
+    for argv in (
+        ("--algorithm", "serial", "--n", "3"),  # serial needs a target function
+        ("--algorithm", "parity", "--n", "4", "--expr", "parity(6)"),  # n mismatch
+        ("--algorithm", "parity", "--n", "4", "--expr", "parity(4)", "--table", str(path)),  # two sources
+    ):
+        code, _ = run_cli("simulate", *argv)
+        assert code == 2, argv
 
 
 def test_verify_all_passes(capsys):
