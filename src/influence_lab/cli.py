@@ -254,13 +254,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
 def cmd_verify(args) -> int:
     from . import verify
 
-    checks = verify.run_suites(
-        which=args.suite,
-        n_max=args.n_max,
-        seed=args.seed,
-        samples=args.samples,
-        inject_fault=args.inject_fault,
-    )
+    checks = verify.run_suites(which=args.suite, n_max=args.n_max, seed=args.seed, samples=args.samples)
     width = max(len(f"{c.suite}: {c.name}") for c in checks)
     failures = 0
     for c in checks:
@@ -337,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
 
     return parser

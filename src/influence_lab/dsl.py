@@ -42,9 +42,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_FUNCTION_NAMES = frozenset({"maj", "parity", "and", "or", "compose", "iterate", "paper_f"})
 _TABLE_ARITY_NAMES = frozenset({"maj", "parity", "and", "or"})
-_POINTWISE_NAMES = frozenset({"maj", "parity", "and", "or", "paper_f"})
+_POINTWISE_NAMES = _TABLE_ARITY_NAMES | {"paper_f"}
+_FUNCTION_NAMES = _POINTWISE_NAMES | {"compose", "iterate"}
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def _literal_table(node: Node) -> TruthTable:
         raise InputError(f"{name} needs a positive arity, got {arity}")
     if arity > MAX_VARS:
         raise CapacityError(f"{name}({arity}) exceeds the {MAX_VARS}-variable cap")
-    return builtin("majority" if name == "maj" else name, arity)
+    return builtin(name, arity)
 
 
 def _collect_vars(node: Node, out: set) -> None:
@@ -298,7 +298,7 @@ def _eval_formula(node: Node, columns: list[np.ndarray]) -> np.ndarray:
         arity = len(node.children)
         if arity == 0:
             raise InputError(f"{name} needs arguments when used inside a formula")
-        table = builtin("majority" if name == "maj" else name, arity)
+        table = builtin(name, arity)
         packed = np.zeros_like(columns[0])
         for j, child in enumerate(node.children):
             packed |= _eval_formula(child, columns) << j

@@ -244,7 +244,7 @@ def block_sensitivity_at(t: TruthTable, x) -> tuple[int, tuple[int, ...]]:
         raise CapacityError(f"exact block sensitivity is capped at n={BS_EXACT_MAX_VARS}")
     idx = t.index_of(x)
     bits = t.bits()
-    coord_mask = int(sensitive_coordinate_masks(t)[idx])
+    coord_mask = sum(1 << i for i in range(t.n) if bits[idx ^ (1 << i)] != bits[idx])
     singles = _singleton_masks(coord_mask, t.n)
     free = tuple(i for i in range(t.n) if not (coord_mask >> i) & 1)
     [blocks] = _subcube_candidates(bits, np.array([idx]), _spread_table(free))

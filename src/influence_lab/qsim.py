@@ -242,13 +242,22 @@ def simulate_direct(alg: Algorithm, x: int) -> np.ndarray:
 
 def _query_permutation(layout: RegisterLayout, x: int) -> np.ndarray:
     # target[b] = source index mapped onto b; the gate is an involution
-    idx = np.arange(layout.dim)
+    i, a, w = _labels(layout)
+    return (i * 2 + (a ^ ((x >> i) & 1))) * layout.work_dim + w
+
+
+def _labels(layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, answer, work) label arrays of every basis index, in basis order."""
+    b = np.arange(layout.dim, dtype=np.int64)
     w = layout.work_dim
-    i = idx // (2 * w)
-    a = (idx // w) % 2
-    rest = idx % w
-    xi = (x >> i) & 1
-    return ((i * 2 + (a ^ xi)) * w + rest).astype(np.int64)
+    return b // (2 * w), (b // w) % 2, b % w
+
+
+def _relabel(layout: RegisterLayout, i: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Permutation matrix sending basis state b to the state labelled (i[b], a[b], w[b])."""
+    m = np.zeros((layout.dim, layout.dim))
+    m[(i * 2 + a) * layout.work_dim + w, np.arange(layout.dim)] = 1.0
+    return m
 
 
 class ErrorProfile(NamedTuple):
@@ -375,22 +384,16 @@ _MINUS_PREP = _H2 @ _X2  # |0> -> (|0> - |1>)/sqrt(2)
 def _serial_read_steps(n: int) -> tuple:
     """Read bits 0..n-1 into the work register, one query per bit."""
     layout = RegisterLayout(n, 1 << n)
-    w = layout.work_dim
+    i, a, w = _labels(layout)
     steps: list = []
     for t in range(n):
-        if t > 0:
-            move = np.eye(n)
-            move[[t - 1, t], :] = move[[t, t - 1], :]
-            steps.append(Unitary(_tensor3(move, np.eye(2), np.eye(w))))
+        if t > 0:  # move the index from t - 1 to t
+            move = np.arange(n)
+            move[[t - 1, t]] = t, t - 1
+            steps.append(Unitary(_relabel(layout, move[i], a, w)))
         steps.append(QUERY)
         # swap the answer bit with work bit t
-        swap = np.zeros((2 * w, 2 * w))
-        for a in range(2):
-            for wv in range(w):
-                wt = (wv >> t) & 1
-                new_w = (wv & ~(1 << t)) | (a << t)
-                swap[wt * w + new_w, a * w + wv] = 1.0
-        steps.append(Unitary(np.kron(np.eye(n), swap)))
+        steps.append(Unitary(_relabel(layout, i, (w >> t) & 1, (w & ~(1 << t)) | (a << t))))
     return tuple(steps)
 
 
@@ -403,13 +406,8 @@ def serial_read(table: TruthTable) -> Algorithm:
     if n > SERIAL_READ_MAX_VARS:
         raise CapacityError(f"serial_read is capped at n={SERIAL_READ_MAX_VARS}")
     layout = RegisterLayout(n, 1 << n)
-    accept = frozenset(
-        layout.basis_index(i, a, wv)
-        for i in range(n)
-        for a in range(2)
-        for wv in range(layout.work_dim)
-        if table.bit_at(wv) == 1
-    )
+    _, _, w = _labels(layout)
+    accept = frozenset(np.flatnonzero(table.bits()[w]).tolist())
     return Algorithm(layout, _serial_read_steps(n), accept, n)
 
 
@@ -423,24 +421,19 @@ def _deutsch_parity_steps(n: int) -> tuple:
     basis index, and a permutation copies that into the work bit.
     """
     layout = RegisterLayout(n, 2)
+    i, a, w = _labels(layout)
     pairs = n // 2
     steps: list = []
     prep = _tensor3(_index_pair_hadamard(n, 0), _MINUS_PREP, np.eye(2))
     steps.append(Unitary(prep))
     for j in range(pairs):
         steps.append(QUERY)
-        if j + 1 < pairs:
-            relabel = np.eye(n)
-            lo, nxt = 2 * j, 2 * j + 2
-            relabel[[lo, nxt], :] = relabel[[nxt, lo], :]
-            relabel[[lo + 1, nxt + 1], :] = relabel[[nxt + 1, lo + 1], :]
-            steps.append(Unitary(_tensor3(relabel, np.eye(2), np.eye(2))))
+        if j + 1 < pairs:  # swap index pair j with pair j + 1
+            pair_swap = np.arange(n)
+            pair_swap[2 * j : 2 * j + 4] = pair_swap[[2 * j + 2, 2 * j + 3, 2 * j, 2 * j + 1]]
+            steps.append(Unitary(_relabel(layout, pair_swap[i], a, w)))
     interfere = _index_pair_hadamard(n, n - 2)
-    writeback = np.zeros((layout.dim, layout.dim))
-    for i in range(n):
-        for a in range(2):
-            for wv in range(2):
-                writeback[layout.basis_index(i, a, wv ^ (i & 1)), layout.basis_index(i, a, wv)] = 1.0
+    writeback = _relabel(layout, i, a, w ^ (i & 1))
     final = writeback @ _tensor3(interfere, np.eye(2), np.eye(2))
     steps.append(Unitary(final))
     return tuple(steps)
@@ -451,9 +444,8 @@ def deutsch_parity(n: int) -> Algorithm:
     if n < 2 or n % 2:
         raise InputError("deutsch_parity needs an even n >= 2")
     layout = RegisterLayout(n, 2)
-    accept = frozenset(
-        layout.basis_index(i, a, 1) for i in range(n) for a in range(2)
-    )
+    _, _, w = _labels(layout)
+    accept = frozenset(np.flatnonzero(w == 1).tolist())
     return Algorithm(layout, _deutsch_parity_steps(n), accept, n // 2)
 
 
@@ -484,7 +476,8 @@ def grover(n: int, iterations: int) -> Algorithm:
     if iterations < 0:
         raise InputError("iteration count must be nonnegative")
     layout = RegisterLayout(n, 1)
-    accept = frozenset(layout.basis_index(i, 1, 0) for i in range(n))
+    _, a, _ = _labels(layout)
+    accept = frozenset(np.flatnonzero(a == 1).tolist())
     return Algorithm(layout, _grover_steps(n, iterations), accept, iterations + 1)
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from influence_lab import cli, qsim
+from influence_lab import cli, oracles, qsim
 from influence_lab.truthtable import builtin, random_table, write_table
 
 
@@ -194,12 +194,33 @@ def test_simulate_usage(tmp_path):
         assert code == 2, argv
 
 
+VERIFY_LABELS = [
+    "fourier: builtins match pointwise tabulation",
+    "fourier: butterfly matches direct summation",
+    "fourier: Parseval sum is exactly 1",
+    "fourier: inverse transform round-trips",
+    "measures: counting influence equals spectral influence",
+    "measures: average sensitivity equals rho * n",
+    "measures: per-variable influence matches squared-mass identity",
+    "measures: block sensitivity matches naive packing",
+    "bounds: spectral flip probability equals brute force",
+    "bounds: k=1 bound reduces to the influence bound",
+    "bounds: parity bound is exactly n/2 for every odd k",
+    "qsim: norm and support invariants hold on every run",
+    "qsim: Fourier picture matches the direct simulator",
+    "qsim: batched oracle states match per-oracle reconstruction",
+    "qsim: displacement statistic matches pair enumeration",
+]
+
+
 def test_verify_all_passes(capsys):
     code = cli.main(["verify", "--suite", "all", "--n-max", "4", "--samples", "4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in out
-    assert out.strip().endswith("checks passed")
+    *lines, summary = out.strip().splitlines()
+    assert [line.rsplit("  PASS", 1)[0].rstrip() for line in lines] == VERIFY_LABELS
+    assert summary == "15/15 checks passed"
 
 
 def test_verify_qsim_suite_draws_samples_tables(monkeypatch):
@@ -218,10 +239,16 @@ def test_verify_qsim_suite_draws_samples_tables(monkeypatch):
         assert sorted(calls) == [n for n in (2, 3, 4) for _ in range(per_n)]
 
 
-def test_verify_inject_fault_exits_nonzero(capsys):
-    code = cli.main(
-        ["verify", "--suite", "fourier", "--n-max", "3", "--samples", "2", "--inject-fault"]
-    )
+def test_verify_inject_fault_exits_nonzero(monkeypatch, capsys):
+    real = oracles.wht_direct
+
+    def corrupted(t):
+        sums = real(t).copy()
+        sums[0] += 2
+        return sums
+
+    monkeypatch.setattr(oracles, "wht_direct", corrupted)
+    code = cli.main(["verify", "--suite", "fourier", "--n-max", "3", "--samples", "2"])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out

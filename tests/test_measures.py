@@ -153,8 +153,9 @@ def test_block_sensitivity_scan_stops_at_first_group_that_cannot_win():
 
 
 def test_block_sensitivity_witness_agrees_with_single_input(small_corpus):
-    # block_sensitivity_at packs from scratch, without the scan's memo; the
-    # witness is the smallest input attaining bs, whatever order the scan takes
+    # block_sensitivity_at packs from scratch, from x's own neighbours, without
+    # the scan's memo or mask kernel; the witness is the smallest input
+    # attaining bs, whatever order the scan takes
     for n, tables in small_corpus.items():
         for t in tables:
             result = block_sensitivity(t)
