@@ -5,8 +5,8 @@ versioned (top-level "schema": 1) and byte-deterministic for identical
 invocations: keys are sorted, floats use repr, and wall-clock timings are
 only included when --timing is passed since they would break determinism.
 
-Exit codes: 0 success, 1 verification or solver failure, 2 usage error,
-3 capacity refusal.
+Exit codes: 0 success, 1 verification, solver or internal cross-check
+failure, 2 usage error, 3 capacity refusal.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import approxdeg, bounds, dsl, fourier, measures, qsim
-from .errors import CapacityError, InputError, SolverError
+from .errors import CapacityError, ConsistencyError, InputError, SolverError
 from .truthtable import TruthTable, builtin, read_table, table_id
 
 EXIT_OK = 0
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SolverError as exc:
+    except (SolverError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     if args.format == "json":

@@ -1,9 +1,10 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto its exit codes: bad input or bad syntax is a usage
-error (2), refusing work that exceeds a size cap is a capacity error (3).
-ConsistencyError signals an internal cross-check failure and is never
-expected in normal operation.
+error (2), refusing work that exceeds a size cap is a capacity error (3),
+and a solver failure is a failure (1). ConsistencyError signals an internal
+cross-check failure, is never expected in normal operation, and is also a
+failure (1).
 """
 
 

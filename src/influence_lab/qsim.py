@@ -7,9 +7,11 @@ masks of weight <= T appear. This module evolves those coefficients
 directly, held as two arrays: the masks in strictly ascending order, and a
 (masks x register dimension) matrix whose row j is the coefficient at mask j.
 
-  - oracle-independent unitaries act on every coefficient row alike, one
-    matrix product for all of them;
-  - a query conjugates the answer coordinate into the Hadamard basis, leaves
+  - a Unitary (a dense oracle-independent step) acts on every coefficient
+    row alike, one matrix product for all of them;
+  - a Permutation (a classical register move) only relabels basis states,
+    so it is one column scatter of the coefficient rows;
+  - a Query conjugates the answer coordinate into the Hadamard basis, leaves
     the answer-plus component where it is, and moves the answer-minus
     component at index i from mask s to mask s XOR e_i (phase kickback is
     mask transport in this picture).
@@ -83,6 +85,18 @@ class Unitary:
             raise InputError(f"matrix is not unitary (defect {defect:.3e})")
 
 
+@dataclass(frozen=True)
+class Permutation:
+    """Classical step: basis state b goes to target[b]."""
+
+    target: np.ndarray
+
+    def __post_init__(self):
+        t = self.target
+        if t.ndim != 1 or t.dtype.kind not in "iu" or not np.array_equal(np.sort(t), np.arange(t.size)):
+            raise InputError("permutation must be a bijection of range(dim)")
+
+
 class Query:
     """Marker step: one oracle call."""
 
@@ -108,6 +122,9 @@ class Algorithm:
             if isinstance(s, Unitary):
                 if s.matrix.shape != (self.layout.dim, self.layout.dim):
                     raise InputError("unitary dimension does not match layout")
+            elif isinstance(s, Permutation):
+                if s.target.size != self.layout.dim:
+                    raise InputError("permutation dimension does not match layout")
             elif not isinstance(s, Query):
                 raise InputError(f"unknown step {s!r}")
 
@@ -147,12 +164,20 @@ def initial_state(layout: RegisterLayout) -> FourierState:
     return state
 
 
-def apply_unitary(state: FourierState, u: Unitary | np.ndarray) -> FourierState:
+def apply_unitary(state: FourierState, u: Unitary | Permutation | np.ndarray) -> FourierState:
     """Coefficient-wise action, one GEMM over the coefficient rows.
 
     The support set never changes. A real matrix acts on the real and
-    imaginary parts separately, so it is never cast to complex.
+    imaginary parts separately, so it is never cast to complex. A
+    Permutation moves columns and does no arithmetic.
     """
+    if isinstance(u, Permutation):
+        if u.target.size != state.layout.dim:
+            raise InputError("permutation dimension does not match layout")
+        out = np.empty_like(state.coeffs)
+        out[:, u.target] = state.coeffs
+        state.coeffs = out
+        return state
     if isinstance(u, np.ndarray):
         u = Unitary(u)
     if u.matrix.shape != (state.layout.dim, state.layout.dim):
@@ -235,6 +260,10 @@ def simulate_direct(alg: Algorithm, x: int) -> np.ndarray:
     for step in alg.steps:
         if isinstance(step, Query):
             v = v[perm]
+        elif isinstance(step, Permutation):
+            w = np.empty_like(v)
+            w[step.target] = v
+            v = w
         else:
             v = step.matrix @ v
     return v
@@ -253,11 +282,9 @@ def _labels(layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return b // (2 * w), (b // w) % 2, b % w
 
 
-def _relabel(layout: RegisterLayout, i: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Permutation matrix sending basis state b to the state labelled (i[b], a[b], w[b])."""
-    m = np.zeros((layout.dim, layout.dim))
-    m[(i * 2 + a) * layout.work_dim + w, np.arange(layout.dim)] = 1.0
-    return m
+def _relabel(layout: RegisterLayout, i: np.ndarray, a: np.ndarray, w: np.ndarray) -> Permutation:
+    """The step sending basis state b to the state labelled (i[b], a[b], w[b])."""
+    return Permutation((i * 2 + a) * layout.work_dim + w)
 
 
 class ErrorProfile(NamedTuple):
@@ -390,10 +417,10 @@ def _serial_read_steps(n: int) -> tuple:
         if t > 0:  # move the index from t - 1 to t
             move = np.arange(n)
             move[[t - 1, t]] = t, t - 1
-            steps.append(Unitary(_relabel(layout, move[i], a, w)))
+            steps.append(_relabel(layout, move[i], a, w))
         steps.append(QUERY)
         # swap the answer bit with work bit t
-        steps.append(Unitary(_relabel(layout, i, (w >> t) & 1, (w & ~(1 << t)) | (a << t))))
+        steps.append(_relabel(layout, i, (w >> t) & 1, (w & ~(1 << t)) | (a << t)))
     return tuple(steps)
 
 
@@ -431,10 +458,11 @@ def _deutsch_parity_steps(n: int) -> tuple:
         if j + 1 < pairs:  # swap index pair j with pair j + 1
             pair_swap = np.arange(n)
             pair_swap[2 * j : 2 * j + 4] = pair_swap[[2 * j + 2, 2 * j + 3, 2 * j, 2 * j + 1]]
-            steps.append(Unitary(_relabel(layout, pair_swap[i], a, w)))
+            steps.append(_relabel(layout, pair_swap[i], a, w))
     interfere = _index_pair_hadamard(n, n - 2)
     writeback = _relabel(layout, i, a, w ^ (i & 1))
-    final = writeback @ _tensor3(interfere, np.eye(2), np.eye(2))
+    final = np.empty((layout.dim, layout.dim))
+    final[writeback.target] = _tensor3(interfere, np.eye(2), np.eye(2))  # writeback after the interference
     steps.append(Unitary(final))
     return tuple(steps)
 
@@ -486,6 +514,7 @@ __all__ = [
     "ErrorProfile",
     "FourierState",
     "GapReport",
+    "Permutation",
     "QUERY",
     "Query",
     "RegisterLayout",

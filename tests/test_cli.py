@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from influence_lab import cli, oracles, qsim
+from influence_lab.errors import ConsistencyError
 from influence_lab.truthtable import builtin, random_table, write_table
 
 
@@ -253,6 +254,18 @@ def test_verify_inject_fault_exits_nonzero(monkeypatch, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "counterexample" in out
+
+
+def test_consistency_error_exits_with_failure(monkeypatch, capsys):
+    def drifted(state):
+        raise ConsistencyError("state norm drifted to 1.5")
+
+    monkeypatch.setattr(qsim, "_check_invariants", drifted)
+    code = cli.main(["simulate", "--algorithm", "parity", "--n", "4"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_FAIL == 1
+    assert err.startswith("error: state norm drifted")
+    assert "Traceback" not in err
 
 
 def test_text_format_runs():

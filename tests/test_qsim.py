@@ -10,6 +10,7 @@ from influence_lab.qsim import (
     QUERY,
     Algorithm,
     FourierState,
+    Permutation,
     RegisterLayout,
     Unitary,
     apply_query,
@@ -123,6 +124,48 @@ def test_unitary_validated_when_built():
         apply_unitary(initial_state(layout), shear)
     with pytest.raises(InputError, match="square"):
         Unitary(np.ones((2, 3)))
+
+
+def test_permutation_validated_when_built():
+    for bad in ([0, 0, 2], [0, 1, 3], [[0, 1], [1, 0]], [0.0, 1.0]):
+        with pytest.raises(InputError, match="bijection"):
+            Permutation(np.array(bad))
+    layout = RegisterLayout(2, 1)
+    wrong_length = Permutation(np.arange(layout.dim + 1))
+    with pytest.raises(InputError, match="dimension"):
+        Algorithm(layout, (wrong_length,), frozenset(), 0)
+    with pytest.raises(InputError, match="dimension"):
+        apply_unitary(initial_state(layout), wrong_length)
+
+
+def _dense(target: np.ndarray) -> np.ndarray:
+    """Permutation matrix with P[target[b], b] = 1."""
+    p = np.zeros((target.size, target.size))
+    p[target, np.arange(target.size)] = 1.0
+    return p
+
+
+def test_permutation_matches_dense_route():
+    rng = np.random.default_rng(8)
+    for layout in (RegisterLayout(3, 1), RegisterLayout(6, 64)):  # dim 6 and 768
+        dim = layout.dim
+        target = rng.permutation(dim)
+        p = _dense(target)
+        state = random_state(layout, [0b000, 0b011, 0b101], 7)
+        expected = state.coeffs @ p.T
+        apply_unitary(state, Permutation(target))
+        assert np.array_equal(state.coeffs, expected)
+        alg = Algorithm(layout, (Permutation(target),), frozenset(), 0)
+        v = np.zeros(dim, dtype=complex)
+        v[0] = 1.0
+        assert np.array_equal(simulate_direct(alg, 0), p @ v)
+
+
+def test_serial_read_holds_no_dense_permutation_matrix():
+    alg = serial_read(random_table(6, 21))
+    classical = [s for s in alg.steps if not isinstance(s, qsim.Query)]
+    assert all(isinstance(s, Permutation) for s in classical)
+    assert sum(s.target.nbytes for s in classical) < 1 << 20
 
 
 def test_query_leaves_answer_plus_alone():
