@@ -44,10 +44,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from ._util import popcounts
 from .errors import CapacityError, ConsistencyError, InputError, SolverError
 from .fourier import butterfly, spectral_degree, wht
-from .truthtable import TruthTable
+from .truthtable import TruthTable, popcounts
 
 LP_MAX_VARS = 12  # at most 2^12 rows and about 1.5*2^12 columns; refuse beyond rather than grind
 FEAS_TOL = 1e-9

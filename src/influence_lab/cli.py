@@ -122,7 +122,7 @@ def _scan_section(scan: approxdeg.DegreeScan, t: TruthTable) -> dict:
     }
 
 
-def cmd_analyze(args) -> tuple[dict, int]:
+def cmd_analyze(args) -> dict:
     timer = _Timer(args.timing)
     t, source = _load_table(args)
     with timer.stage("measures"):
@@ -157,10 +157,10 @@ def cmd_analyze(args) -> tuple[dict, int]:
         "approx_degree": approx_section,
         "timing_ms": timer.stages,
     }
-    return report, EXIT_OK
+    return report
 
 
-def cmd_approx_degree(args) -> tuple[dict, int]:
+def cmd_approx_degree(args) -> dict:
     timer = _Timer(args.timing)
     t, source = _load_table(args)
     with timer.stage("scan"):
@@ -173,7 +173,7 @@ def cmd_approx_degree(args) -> tuple[dict, int]:
         "exact_degree": scan.exact_degree,
         "timing_ms": timer.stages,
     }
-    return report, EXIT_OK
+    return report
 
 
 def _simulate_table(args, n: int) -> TruthTable:
@@ -186,7 +186,7 @@ def _simulate_table(args, n: int) -> TruthTable:
     raise InputError("serial simulation needs --expr or --table for the target function")
 
 
-def cmd_simulate(args) -> tuple[dict, int]:
+def cmd_simulate(args) -> dict:
     timer = _Timer(args.timing)
     n = args.n
     table = _simulate_table(args, n)
@@ -248,7 +248,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
         },
         "timing_ms": timer.stages,
     }
-    return report, EXIT_OK
+    return report
 
 
 def cmd_verify(args) -> int:
@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args)
-        report, code = args.fn(args)
+        report = args.fn(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     else:
         _render_text(report, sys.stdout)
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -27,9 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import MAX_VARS
 from .errors import CapacityError, InputError, ParseError
-from .truthtable import TruthTable, builtin, compose, iterate
+from .truthtable import MAX_VARS, TruthTable, builtin, compose, iterate
 
 _TOKEN_RE = re.compile(
     r"""

@@ -15,9 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import popcounts
 from .errors import ConsistencyError
-from .truthtable import TruthTable
+from .truthtable import TruthTable, popcounts
 
 
 @dataclass(frozen=True)

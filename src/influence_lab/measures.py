@@ -173,13 +173,13 @@ def _subcube_candidates(bits: np.ndarray, xs: np.ndarray, spread: np.ndarray) ->
     return blocks
 
 
-def _capacity_bound(sizes: list[int], free: int) -> int:
-    """Largest m such that the m smallest of the ascending sizes fit in free variables."""
+def _capacity_bound(sizes: list[int], free: int, start: int = 0) -> int:
+    """Largest m such that the m smallest of the ascending sizes[start:] fit in free variables."""
     fit = 0
-    for sz in sizes:
-        if sz > free:
+    for j in range(start, len(sizes)):
+        if sizes[j] > free:
             break
-        free -= sz
+        free -= sizes[j]
         fit += 1
     return fit
 
@@ -194,18 +194,10 @@ def _pack_blocks(blocks: list[int], n: int) -> tuple[int, tuple[int, ...]]:
     if not blocks:
         return 0, ()
     order = sorted(blocks, key=lambda b: (b.bit_count(), b))
-    sizes = [b.bit_count() for b in order]
+    sizes = [b.bit_count() for b in order]  # ascending, so sizes[i:] feeds the capacity bound
     count = len(order)
     best_count = 0
     best_sel: tuple[int, ...] = ()
-    # suffix_sorted[i] = sorted sizes of order[i:], for the capacity bound
-    suffix_sorted: list[list[int]] = [None] * (count + 1)  # type: ignore[list-item]
-    suffix_sorted[count] = []
-    for i in range(count - 1, -1, -1):
-        merged = suffix_sorted[i + 1] + [sizes[i]]
-        merged.sort()
-        suffix_sorted[i] = merged
-
     chosen: list[int] = []
 
     def descend(i: int, used: int, free: int) -> None:
@@ -213,13 +205,13 @@ def _pack_blocks(blocks: list[int], n: int) -> tuple[int, tuple[int, ...]]:
         if len(chosen) > best_count:
             best_count = len(chosen)
             best_sel = tuple(chosen)
-        if i >= count or len(chosen) + _capacity_bound(suffix_sorted[i], free) <= best_count:
+        if i >= count or len(chosen) + _capacity_bound(sizes, free, i) <= best_count:
             return
         for j in range(i, count):
             b = order[j]
             if b & used:
                 continue
-            if len(chosen) + 1 + _capacity_bound(suffix_sorted[j + 1], free - sizes[j]) <= best_count:
+            if len(chosen) + 1 + _capacity_bound(sizes, free - sizes[j], j + 1) <= best_count:
                 continue
             chosen.append(b)
             descend(j + 1, used | b, free - sizes[j])

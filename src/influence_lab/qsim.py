@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -143,7 +142,7 @@ class FourierState:
         self.support_history: list[int] = []
 
     def norm_sq(self) -> float:
-        return float(np.vdot(self.coeffs, self.coeffs).real)
+        return float(_row_norms_sq(self.coeffs).sum())
 
     def support(self) -> frozenset:
         return frozenset(self.masks.tolist())
@@ -254,25 +253,20 @@ def run(alg: Algorithm, check: bool = True) -> FourierState:
 def simulate_direct(alg: Algorithm, x: int) -> np.ndarray:
     """Per-oracle reference simulation in the plain computational basis."""
     layout = alg.layout
+    i, a, w = _labels(layout)
+    query = _relabel(layout, i, a ^ ((x >> i) & 1), w)  # |i, a, w> -> |i, a XOR x_i, w>
     v = np.zeros(layout.dim, dtype=np.complex128)
     v[0] = 1.0
-    perm = _query_permutation(layout, x)
     for step in alg.steps:
         if isinstance(step, Query):
-            v = v[perm]
-        elif isinstance(step, Permutation):
-            w = np.empty_like(v)
-            w[step.target] = v
-            v = w
+            step = query
+        if isinstance(step, Permutation):
+            out = np.empty_like(v)
+            out[step.target] = v
+            v = out
         else:
             v = step.matrix @ v
     return v
-
-
-def _query_permutation(layout: RegisterLayout, x: int) -> np.ndarray:
-    # target[b] = source index mapped onto b; the gate is an involution
-    i, a, w = _labels(layout)
-    return (i * 2 + (a ^ ((x >> i) & 1))) * layout.work_dim + w
 
 
 def _labels(layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,9 +401,15 @@ _X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _MINUS_PREP = _H2 @ _X2  # |0> -> (|0> - |1>)/sqrt(2)
 
 
-@lru_cache(maxsize=8)
-def _serial_read_steps(n: int) -> tuple:
-    """Read bits 0..n-1 into the work register, one query per bit."""
+def serial_read(table: TruthTable) -> Algorithm:
+    """n queries, zero error for any table: read everything, then decide.
+
+    Reads bits 0..n-1 into the work register, one query per bit; acceptance
+    is determined by evaluating the table on the work register.
+    """
+    n = table.n
+    if n > SERIAL_READ_MAX_VARS:
+        raise CapacityError(f"serial_read is capped at n={SERIAL_READ_MAX_VARS}")
     layout = RegisterLayout(n, 1 << n)
     i, a, w = _labels(layout)
     steps: list = []
@@ -421,32 +421,21 @@ def _serial_read_steps(n: int) -> tuple:
         steps.append(QUERY)
         # swap the answer bit with work bit t
         steps.append(_relabel(layout, i, (w >> t) & 1, (w & ~(1 << t)) | (a << t)))
-    return tuple(steps)
-
-
-def serial_read(table: TruthTable) -> Algorithm:
-    """n queries, zero error for any table: read everything, then decide.
-
-    Acceptance is determined by evaluating the table on the work register.
-    """
-    n = table.n
-    if n > SERIAL_READ_MAX_VARS:
-        raise CapacityError(f"serial_read is capped at n={SERIAL_READ_MAX_VARS}")
-    layout = RegisterLayout(n, 1 << n)
-    _, _, w = _labels(layout)
     accept = frozenset(np.flatnonzero(table.bits()[w]).tolist())
-    return Algorithm(layout, _serial_read_steps(n), accept, n)
+    return Algorithm(layout, tuple(steps), accept, n)
 
 
-@lru_cache(maxsize=8)
-def _deutsch_parity_steps(n: int) -> tuple:
-    """Parity of all n bits in n/2 queries by querying index pairs in superposition.
+def deutsch_parity(n: int) -> Algorithm:
+    """Exact parity of an n-bit oracle (n even) using n/2 queries.
 
-    The running branch pair (|2j> + (-1)^c |2j+1>)/sqrt(2) carries the parity
-    read so far in its relative sign; each query adds one even-indexed and one
-    odd-indexed bit, the final in-pair interference turns the sign into a
-    basis index, and a permutation copies that into the work bit.
+    Queries index pairs in superposition. The running branch pair
+    (|2j> + (-1)^c |2j+1>)/sqrt(2) carries the parity read so far in its
+    relative sign; each query adds one even-indexed and one odd-indexed bit,
+    the final in-pair interference turns the sign into a basis index, and a
+    permutation copies that into the work bit.
     """
+    if n < 2 or n % 2:
+        raise InputError("deutsch_parity needs an even n >= 2")
     layout = RegisterLayout(n, 2)
     i, a, w = _labels(layout)
     pairs = n // 2
@@ -464,22 +453,18 @@ def _deutsch_parity_steps(n: int) -> tuple:
     final = np.empty((layout.dim, layout.dim))
     final[writeback.target] = _tensor3(interfere, np.eye(2), np.eye(2))  # writeback after the interference
     steps.append(Unitary(final))
-    return tuple(steps)
-
-
-def deutsch_parity(n: int) -> Algorithm:
-    """Exact parity of an n-bit oracle (n even) using n/2 queries."""
-    if n < 2 or n % 2:
-        raise InputError("deutsch_parity needs an even n >= 2")
-    layout = RegisterLayout(n, 2)
-    _, _, w = _labels(layout)
     accept = frozenset(np.flatnonzero(w == 1).tolist())
-    return Algorithm(layout, _deutsch_parity_steps(n), accept, n // 2)
+    return Algorithm(layout, tuple(steps), accept, pairs)
 
 
-@lru_cache(maxsize=8)
-def _grover_steps(n: int, iterations: int) -> tuple:
+def grover(n: int, iterations: int) -> Algorithm:
+    """Search iterations plus one verification query; accepts when answer=1."""
+    if n < 2:
+        raise InputError("grover needs n >= 2 oracle bits")
+    if iterations < 0:
+        raise InputError("iteration count must be nonnegative")
     layout = RegisterLayout(n, 1)
+    _, a, _ = _labels(layout)
     uniform = np.full((n, 1), 1 / math.sqrt(n))
     # real orthogonal completion of column 0 = uniform
     prep_index, _ = np.linalg.qr(np.hstack([uniform, np.eye(n)[:, : n - 1]]))
@@ -494,19 +479,8 @@ def _grover_steps(n: int, iterations: int) -> tuple:
     # rotate the answer from |-> back to |0>, then one verifying query
     steps.append(Unitary(_tensor3(np.eye(n), _X2 @ _H2, np.eye(1))))
     steps.append(QUERY)
-    return tuple(steps)
-
-
-def grover(n: int, iterations: int) -> Algorithm:
-    """Search iterations plus one verification query; accepts when answer=1."""
-    if n < 2:
-        raise InputError("grover needs n >= 2 oracle bits")
-    if iterations < 0:
-        raise InputError("iteration count must be nonnegative")
-    layout = RegisterLayout(n, 1)
-    _, a, _ = _labels(layout)
     accept = frozenset(np.flatnonzero(a == 1).tolist())
-    return Algorithm(layout, _grover_steps(n, iterations), accept, iterations + 1)
+    return Algorithm(layout, tuple(steps), accept, iterations + 1)
 
 
 __all__ = [

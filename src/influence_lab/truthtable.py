@@ -14,15 +14,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import MAX_VARS, popcounts
 from .errors import CapacityError, InputError
 
+MAX_VARS = 20  # full-domain scans stay under 2^20 table entries
 _MASK64 = (1 << 64) - 1
+
+
+def popcounts(n: int) -> np.ndarray:
+    """Vector of popcount(s) for every mask s < 2^n (int64)."""
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
 
 
 def _check_vars(n: int) -> None:
@@ -94,8 +99,19 @@ class TruthTable:
         return 1 - 2 * self.bit_at(x)
 
     def bits(self) -> np.ndarray:
-        """Dense uint8 array of all 2^n output bits (cached, do not mutate)."""
-        return _bits_array(self.n, self.packed)
+        """Dense uint8 array of all 2^n output bits, read-only.
+
+        Unpacked once per table and kept on the instance.
+        """
+        return self._bits
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        nbytes = (self.size + 7) // 8
+        raw = np.frombuffer(self.packed.to_bytes(nbytes, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, bitorder="little")[: self.size]
+        bits.flags.writeable = False
+        return bits
 
     def signs(self) -> np.ndarray:
         """Dense int64 array of the sign view, 1 - 2*bit."""
@@ -103,15 +119,6 @@ class TruthTable:
 
     def __str__(self):
         return f"TruthTable(n={self.n}, bits=0x{self.packed:x})"
-
-
-@lru_cache(maxsize=128)
-def _bits_array(n: int, packed: int) -> np.ndarray:
-    nbytes = ((1 << n) + 7) // 8
-    raw = np.frombuffer(packed.to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: 1 << n]
-    bits.flags.writeable = False
-    return bits
 
 
 def complement(t: TruthTable) -> TruthTable:

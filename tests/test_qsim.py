@@ -168,6 +168,16 @@ def test_serial_read_holds_no_dense_permutation_matrix():
     assert sum(s.target.nbytes for s in classical) < 1 << 20
 
 
+def test_serial_read_steps_depend_on_n_alone():
+    a, b = serial_read(random_table(4, 3)), serial_read(random_table(4, 4))
+    assert len(a.steps) == len(b.steps)
+    for sa, sb in zip(a.steps, b.steps):
+        assert type(sa) is type(sb)
+        if isinstance(sa, Permutation):
+            assert np.array_equal(sa.target, sb.target)
+    assert a.accept != b.accept
+
+
 def test_query_leaves_answer_plus_alone():
     layout = RegisterLayout(4, 1)
     state = initial_state(layout)

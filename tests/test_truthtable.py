@@ -234,3 +234,14 @@ def test_permute_variables():
         assert p.bit_at(x) == t.bit_at(tuple(b[perm[i]] for i in range(4)))
     with pytest.raises(InputError):
         permute_variables(t, [0, 1, 2, 2])
+
+
+def test_bits_computed_once_per_table_and_read_only():
+    t = random_table(10, 5)
+    b = t.bits()
+    assert t.bits() is b
+    with pytest.raises(ValueError):
+        b[0] = 1 - b[0]
+    twin = TruthTable(t.n, t.packed)
+    assert np.array_equal(twin.bits(), b)
+    assert twin == t
