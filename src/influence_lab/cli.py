@@ -202,8 +202,9 @@ def cmd_simulate(args) -> dict:
         state = qsim.run(alg)
         profile = qsim.profile_state(state, alg.accept, table)
     # errors below the simulator's own tolerance are numerical zero; sqrt(eps)
-    # in the bounds would otherwise amplify the float dust
-    eps_measured = 0.0 if profile.worst < 1e-9 else profile.worst
+    # in the bounds would otherwise amplify the float dust. Dust above 1 is
+    # an error probability of 1.
+    eps_measured = 0.0 if profile.worst < 1e-9 else min(profile.worst, 1.0)
     ks = args.k or [1, 3]
     spec = fourier.wht(table)
     displacement = []
@@ -217,7 +218,7 @@ def cmd_simulate(args) -> dict:
             }
         )
     gap = None
-    if not args.no_gap_check and n <= 5:
+    if not args.no_gap_check and n <= qsim.GAP_CHECK_MAX_VARS:
         g = qsim.gap_check(state, table, eps_measured)
         gap = {
             "min": g.min_gap,

@@ -249,12 +249,7 @@ def _literal_table(node: Node) -> TruthTable:
         return iterate(elaborate_node(node.children[0]), int(node.children[1].value))
     if name == "paper_f":
         return builtin("paper_f", 4)
-    arity = int(node.children[0].value)
-    if arity < 1:
-        raise InputError(f"{name} needs a positive arity, got {arity}")
-    if arity > MAX_VARS:
-        raise CapacityError(f"{name}({arity}) exceeds the {MAX_VARS}-variable cap")
-    return builtin(name, arity)
+    return builtin(name, int(node.children[0].value))
 
 
 def _collect_vars(node: Node, out: set) -> None:

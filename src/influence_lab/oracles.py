@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -132,22 +132,15 @@ def displacement_direct(state: qsim.FourierState, k: int) -> float:
     return total / (size * n**k)
 
 
-def gap_check_direct(
-    state: qsim.FourierState, table: TruthTable, eps: float, neighbors_only: bool = False
-) -> qsim.GapReport:
+def gap_check_direct(state: qsim.FourierState, table: TruthTable, eps: float) -> qsim.GapReport:
     """qsim.gap_check pair by pair, each oracle's state rebuilt by qsim.reconstruct."""
-    n = state.layout.n_index
-    size = 1 << n
+    size = 1 << state.layout.n_index
     vecs = [qsim.reconstruct(state, x) for x in range(size)]
     bits = table.bits()
     threshold = 2 - 4 * math.sqrt(max(0.0, eps))
     min_gap = None
     checked = 0
-    if neighbors_only:
-        pairs = ((x, x ^ (1 << i)) for x in range(size) for i in range(n) if x < x ^ (1 << i))
-    else:
-        pairs = ((x, y) for x in range(size) for y in range(x + 1, size))
-    for x, y in pairs:
+    for x, y in combinations(range(size), 2):
         if bits[x] == bits[y]:
             continue
         d = vecs[x] - vecs[y]

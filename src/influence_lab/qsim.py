@@ -49,6 +49,7 @@ _PRUNE_SQ = 1e-24  # squared-norm floor; drops exact-zero transport residue
 _SQRT2 = math.sqrt(2.0)
 
 SERIAL_READ_MAX_VARS = 6  # work register holds all n bits read so far
+GAP_CHECK_MAX_VARS = 5  # the scan indexes all 2^n (2^n - 1) / 2 oracle pairs at once
 _BLOCK_BYTES = 64 << 20  # cap on one (2^n x columns) complex block of oracle states
 
 
@@ -235,7 +236,7 @@ def _check_invariants(state: FourierState) -> None:
         )
 
 
-def run(alg: Algorithm, check: bool = True) -> FourierState:
+def run(alg: Algorithm) -> FourierState:
     """Execute all steps; support-weight and norm invariants hold after each."""
     state = initial_state(alg.layout)
     state.support_history.append(state.masks.size)
@@ -244,8 +245,7 @@ def run(alg: Algorithm, check: bool = True) -> FourierState:
             apply_query(state)
         else:
             apply_unitary(state, step)
-        if check:
-            _check_invariants(state)
+        _check_invariants(state)
         state.support_history.append(state.masks.size)
     return state
 
@@ -351,27 +351,18 @@ class GapReport(NamedTuple):
     violated: bool
 
 
-def gap_check(state: FourierState, table: TruthTable, eps: float, neighbors_only: bool = False) -> GapReport:
+def gap_check(state: FourierState, table: TruthTable, eps: float) -> GapReport:
     """Scan pairs with f(x) != f(y): ||phi(x) - phi(y)||^2 must be >= 2 - 4 sqrt(eps)."""
     n = state.layout.n_index
     if table.n != n:
         raise InputError("table size does not match layout")
-    if not neighbors_only and n > 5:
-        raise CapacityError("full pair scan is capped at n=5; use neighbors_only")
+    if n > GAP_CHECK_MAX_VARS:
+        raise CapacityError(f"full pair scan is capped at n={GAP_CHECK_MAX_VARS}")
     vecs = oracle_states(state)
     bits = table.bits()
-    if neighbors_only:
-        # one gather per coordinate i: the 2^(n-1) pairs (x, x | e_i), bit i of x clear
-        idx = np.arange(1 << n)
-        lows = [idx[(idx >> i) & 1 == 0] for i in range(n)]
-        pairs = [(x, x | (1 << i)) for i, x in enumerate(lows)]
-    else:
-        pairs = [np.triu_indices(1 << n, k=1)]
-    gaps = []
-    for x, y in pairs:
-        differ = bits[x] != bits[y]
-        gaps.append(_row_norms_sq(vecs[x[differ]] - vecs[y[differ]]))
-    gaps = np.concatenate(gaps)
+    x, y = np.triu_indices(1 << n, k=1)
+    differ = bits[x] != bits[y]
+    gaps = _row_norms_sq(vecs[x[differ]] - vecs[y[differ]])
     min_gap = float(gaps.min()) if gaps.size else None
     threshold = 2 - 4 * math.sqrt(max(0.0, eps))
     violated = min_gap is not None and min_gap < threshold - NORM_TOL
@@ -389,11 +380,7 @@ def _tensor3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _index_pair_hadamard(n_index: int, lo: int) -> np.ndarray:
     """2D Hadamard on index states lo, lo+1; identity elsewhere."""
     m = np.eye(n_index)
-    r = 1 / _SQRT2
-    m[lo, lo] = r
-    m[lo, lo + 1] = r
-    m[lo + 1, lo] = r
-    m[lo + 1, lo + 1] = -r
+    m[lo : lo + 2, lo : lo + 2] = _H2
     return m
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
@@ -487,6 +474,7 @@ __all__ = [
     "Algorithm",
     "ErrorProfile",
     "FourierState",
+    "GAP_CHECK_MAX_VARS",
     "GapReport",
     "Permutation",
     "QUERY",

@@ -31,8 +31,10 @@ def popcounts(n: int) -> np.ndarray:
 
 
 def _check_vars(n: int) -> None:
+    """Below 1 is out-of-range input; above MAX_VARS is a size cap."""
     if not 1 <= n <= MAX_VARS:
-        raise CapacityError(f"variable count must be in 1..{MAX_VARS}, got {n}")
+        error = InputError if n < 1 else CapacityError
+        raise error(f"variable count must be in 1..{MAX_VARS}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -54,15 +56,10 @@ class TruthTable:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "TruthTable":
         seq = list(bits)
-        n = (len(seq) - 1).bit_length()
-        if len(seq) != 1 << n or len(seq) < 2:
-            raise InputError(f"bit sequence length {len(seq)} is not a power of two >= 2")
-        packed = 0
-        for i, b in enumerate(seq):
+        for b in seq:
             if b not in (0, 1):
                 raise InputError(f"table entry {b!r} is not a bit")
-            packed |= b << i
-        return cls(n, packed)
+        return cls.from_bit_array(np.array(seq, dtype=np.uint8))
 
     @classmethod
     def from_bit_array(cls, arr: np.ndarray) -> "TruthTable":
@@ -177,19 +174,16 @@ def _paper_f_bits() -> np.ndarray:
 
 def builtin(name: str, n: int) -> TruthTable:
     """Named function families: parity, and, or, majority (n odd), paper_f (n=4)."""
+    _check_vars(n)
     if name in ("majority", "maj"):
         if n % 2 == 0:
             raise InputError("majority needs an odd variable count")
-        _check_vars(n)
         return TruthTable.from_bit_array(2 * popcounts(n) > n)
     if name == "parity":
-        _check_vars(n)
         return TruthTable.from_bit_array(popcounts(n) & 1)
     if name == "and":
-        _check_vars(n)
         return TruthTable(n, 1 << ((1 << n) - 1))
     if name == "or":
-        _check_vars(n)
         return TruthTable(n, ((1 << (1 << n)) - 1) & ~1)
     if name == "paper_f":
         if n != 4:
@@ -248,8 +242,9 @@ def read_table(path) -> TruthTable:
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise InputError(f"table file {path} missing version 1 marker")
     n = doc.get("n")
-    if not isinstance(n, int) or not 1 <= n <= MAX_VARS:
+    if not isinstance(n, int):
         raise InputError(f"table file {path} has bad variable count {n!r}")
+    _check_vars(n)
     hexbits = doc.get("bits")
     if not isinstance(hexbits, str) or len(hexbits) != _hex_width(n):
         raise InputError(

@@ -31,8 +31,8 @@ def _check(suite: str, name: str, counterexamples) -> Check:
     return Check(suite, name, found is None, found)
 
 
-def _tables(n_max: int, seed: int, samples: int, n_min: int = 2):
-    for n in range(n_min, n_max + 1):
+def _tables(n_max: int, seed: int, samples: int):
+    for n in range(2, n_max + 1):
         for j in range(samples):
             yield random_table(n, seed + 1000 * n + j)
 
@@ -44,7 +44,7 @@ def _round_trips(t, spec) -> bool:
         return False
 
 
-def suite_fourier(n_max: int = 6, seed: int = 1, samples: int = 20) -> list[Check]:
+def suite_fourier(n_max: int, seed: int, samples: int) -> list[Check]:
     cases = [(t, fourier.wht(t)) for t in _tables(min(n_max, 8), seed, samples)]
     builtins = (f"{name}({n})" for name, n, ref in oracles.builtin_references() if builtin(name, n) != ref)
     transform = (table_id(t) for t, spec in cases if not np.array_equal(spec.sums, oracles.wht_direct(t)))
@@ -68,7 +68,7 @@ def _influence_mismatches(cases):
                 yield f"{table_id(t)} variable {i}"
 
 
-def suite_measures(n_max: int = 6, seed: int = 2, samples: int = 20) -> list[Check]:
+def suite_measures(n_max: int, seed: int, samples: int) -> list[Check]:
     cases = [(t, fourier.wht(t)) for t in _tables(n_max, seed, samples)]
     rho = (table_id(t) for t, spec in cases if measures.avg_influence(t) != fourier.avg_influence(spec))
     avg_sens = (
@@ -115,7 +115,7 @@ def _parity_mismatches(n_max: int):
                 yield f"n={n} k={k}"
 
 
-def suite_bounds(n_max: int = 6, seed: int = 3, samples: int = 20) -> list[Check]:
+def suite_bounds(n_max: int, seed: int, samples: int) -> list[Check]:
     cases = [(t, fourier.wht(t)) for t in _tables(n_max, seed, samples)]
     return [
         _check("bounds", "spectral flip probability equals brute force", _flip_mismatches(cases)),
@@ -157,7 +157,7 @@ def _displacement_mismatches(runs):
                 yield f"{label} k={k}"
 
 
-def suite_qsim(n_max: int = 4, seed: int = 4, samples: int = 5) -> list[Check]:
+def suite_qsim(n_max: int, seed: int, samples: int) -> list[Check]:
     runs, failed = [], []
     for label, alg in _algorithms(n_max, seed, samples):
         try:

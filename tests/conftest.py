@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from influence_lab.truthtable import random_table
+
+# CLI subprocesses (criterion 12) import the package from this checkout too,
+# as pyproject's pythonpath setting makes the test process do
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 CORPUS_SEED = 20240501
 

@@ -195,6 +195,39 @@ def test_simulate_usage(tmp_path):
         assert code == 2, argv
 
 
+@pytest.mark.parametrize("algorithm, n", [("grover", "0"), ("parity", "-2")])
+def test_simulate_variable_count_below_one_is_usage_error(algorithm, n):
+    code, _ = run_cli("simulate", "--algorithm", algorithm, "--n", n)
+    assert code == 2
+
+
+@pytest.mark.parametrize("expr, exit_code", [("parity(0)", 2), ("parity(21)", 3)])
+def test_analyze_variable_count_exit_codes(expr, exit_code):
+    code, _ = run_cli("analyze", "--expr", expr)
+    assert code == exit_code
+
+
+@pytest.mark.parametrize("n, exit_code", [(0, 2), (21, 3)])
+def test_table_file_variable_count_exit_codes(tmp_path, n, exit_code):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"version": 1, "n": n, "bits": "0"}))
+    code, _ = run_cli("analyze", "--table", str(path))
+    assert code == exit_code
+
+
+@pytest.mark.parametrize("n, iterations", [(3, 1), (6, 2)])
+def test_simulate_error_dust_above_one(n, iterations):
+    # grover rejects the all-zero oracle, where NOR is 1, so its worst error
+    # is 1 plus float dust; the bounds must see 1.0 rather than refuse it
+    expr = "!(" + "|".join(f"x{i}" for i in range(n)) + ")"
+    report = run_json(
+        "simulate", "--algorithm", "grover", "--n", str(n), "--iterations", str(iterations), "--expr", expr
+    )
+    assert report["eps_used_for_bounds"] == 1.0
+    assert report["influence_bound"]["value"] == 0.0
+    assert all(entry["lower_bound"] == 0.0 for entry in report["displacement"])
+
+
 VERIFY_LABELS = [
     "fourier: builtins match pointwise tabulation",
     "fourier: butterfly matches direct summation",

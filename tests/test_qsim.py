@@ -411,25 +411,22 @@ def test_gap_check_serial_no_violations():
 
 
 def test_gap_check_matches_pairwise_reference():
-    for neighbors_only, sizes in ((False, range(3, 6)), (True, range(3, 7))):
-        for n in sizes:
-            t = random_table(n, 130 + n)
-            runs = [(serial_read(t), t)] + [(grover(n, it), builtin("or", n)) for it in (1, 0)]
-            for alg, table in runs:
-                state = run(alg)
-                for eps in (0.0, 0.1):
-                    fast = gap_check(state, table, eps, neighbors_only)
-                    slow = gap_check_direct(state, table, eps, neighbors_only)
-                    assert fast.pairs_checked == slow.pairs_checked
-                    assert fast.violated == slow.violated
-                    assert fast.threshold == slow.threshold
-                    assert abs(fast.min_gap - slow.min_gap) < 1e-12
+    for n in range(3, 6):
+        t = random_table(n, 130 + n)
+        runs = [(serial_read(t), t)] + [(grover(n, it), builtin("or", n)) for it in (1, 0)]
+        for alg, table in runs:
+            state = run(alg)
+            for eps in (0.0, 0.1):
+                fast = gap_check(state, table, eps)
+                slow = gap_check_direct(state, table, eps)
+                assert fast.pairs_checked == slow.pairs_checked
+                assert fast.violated == slow.violated
+                assert fast.threshold == slow.threshold
+                assert abs(fast.min_gap - slow.min_gap) < 1e-12
 
 
-def test_gap_check_capacity_and_neighbors():
+def test_gap_check_capacity():
     t = random_table(6, 2)
     state = run(serial_read(t))
     with pytest.raises(CapacityError):
         gap_check(state, t, 0.0)
-    report = gap_check(state, t, 0.0, neighbors_only=True)
-    assert not report.violated
