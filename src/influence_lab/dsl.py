@@ -293,10 +293,11 @@ def _eval_formula(node: Node, columns: list[np.ndarray]) -> np.ndarray:
         if arity == 0:
             raise InputError(f"{name} needs arguments when used inside a formula")
         table = builtin(name, arity)
-        packed = np.zeros_like(columns[0])
+        # the argument index needs arity <= MAX_VARS bits, more than a uint8 column holds
+        packed = np.zeros(columns[0].shape, dtype=np.uint32)
         for j, child in enumerate(node.children):
-            packed |= _eval_formula(child, columns) << j
-        return table.bits()[packed].astype(np.int64)
+            packed |= np.left_shift(_eval_formula(child, columns), j, dtype=np.uint32)
+        return table.bits()[packed]
     raise InputError(f"cannot evaluate node kind {kind!r}")
 
 
@@ -318,10 +319,10 @@ def elaborate_node(node: Node) -> TruthTable:
             raise CapacityError(f"formula uses {n} variables, cap is {MAX_VARS}")
     else:
         n = 1  # constant formulas become 1-variable constant tables
-    idx = np.arange(1 << n, dtype=np.int64)
-    columns = [(idx >> i) & 1 for i in range(n)]
-    values = _eval_formula(node, columns)
-    return TruthTable.from_bit_array((values & 1).astype(np.uint8))
+    # every value is a bit: uint8 columns, from an index that fits uint32 as n <= MAX_VARS
+    idx = np.arange(1 << n, dtype=np.uint32)
+    columns = [((idx >> i) & 1).astype(np.uint8) for i in range(n)]
+    return TruthTable.from_bit_array(_eval_formula(node, columns))
 
 
 def elaborate(source: str) -> TruthTable:

@@ -131,7 +131,14 @@ def nonzero_entries(spec: FourierSpectrum) -> list[dict]:
 def top_entries(spec: FourierSpectrum, count: int) -> list[dict]:
     """The count largest |coefficients| in export form; ties go to the smaller mask."""
     masks = np.flatnonzero(spec.sums)
-    order = np.lexsort((masks, -np.abs(spec.sums[masks])))
+    magnitudes = np.abs(spec.sums[masks])
+    if 0 < count < masks.size:
+        # sort only the masks at or above the count-th largest magnitude, so
+        # every mask tied at the cut still competes on its index
+        kth = masks.size - count
+        keep = magnitudes >= np.partition(magnitudes, kth)[kth]
+        masks, magnitudes = masks[keep], magnitudes[keep]
+    order = np.lexsort((masks, -magnitudes))
     return _entries(spec, masks[order[:count]])
 
 

@@ -90,9 +90,9 @@ def avg_sensitivity(t: TruthTable) -> Fraction:
 
 
 def sensitivity_profile(t: TruthTable) -> np.ndarray:
-    """int64 array: entry x is the number of sensitive coordinates at x."""
+    """uint8 array: entry x is the number of sensitive coordinates at x, at most n <= 20."""
     bits = t.bits()
-    sens = np.zeros(t.size, dtype=np.int64)
+    sens = np.zeros(t.size, dtype=np.uint8)
     for i in range(t.n):
         view = bits.reshape(-1, 2, 1 << i)
         diff = view[:, 0, :] != view[:, 1, :]

@@ -26,8 +26,11 @@ _MASK64 = (1 << 64) - 1
 
 
 def popcounts(n: int) -> np.ndarray:
-    """Vector of popcount(s) for every mask s < 2^n (int64)."""
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    """Vector of popcount(s) for every mask s < 2^n (uint8: a count is at most n <= 20).
+
+    Unsigned: cast before negating or subtracting, or the result wraps.
+    """
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
 
 
 def _check_vars(n: int) -> None:
@@ -127,10 +130,10 @@ def permute_variables(t: TruthTable, perm: Sequence[int]) -> TruthTable:
     """Relabel inputs: result(x_0..x_{n-1}) = t(x_{perm[0]}, .., x_{perm[n-1]})."""
     if sorted(perm) != list(range(t.n)):
         raise InputError("perm must be a permutation of 0..n-1")
-    idx = np.arange(t.size)
-    src = np.zeros(t.size, dtype=np.int64)
+    idx = np.arange(t.size, dtype=np.uint32)
+    src = np.zeros(t.size, dtype=np.uint32)
     for i, p_i in enumerate(perm):
-        src |= ((idx >> p_i) & 1) << i
+        src |= ((idx >> int(p_i)) & 1) << i
     return TruthTable.from_bit_array(t.bits()[src])
 
 
@@ -144,12 +147,13 @@ def compose(outer: TruthTable, inner: TruthTable) -> TruthTable:
     if n > MAX_VARS:
         raise CapacityError(f"composition needs {n} variables, cap is {MAX_VARS}")
     inner_bits = inner.bits()
-    idx = np.arange(1 << n)
-    outer_idx = np.zeros(1 << n, dtype=np.int64)
+    # n <= MAX_VARS, and outer_idx holds outer.n <= MAX_VARS bits: uint32 fits both
+    idx = np.arange(1 << n, dtype=np.uint32)
+    outer_idx = np.zeros(1 << n, dtype=np.uint32)
     block_mask = inner.size - 1
     for j in range(outer.n):
         block = (idx >> (j * inner.n)) & block_mask
-        outer_idx |= inner_bits[block].astype(np.int64) << j
+        outer_idx |= np.left_shift(inner_bits[block], j, dtype=np.uint32)
     return TruthTable.from_bit_array(outer.bits()[outer_idx])
 
 
@@ -242,7 +246,7 @@ def read_table(path) -> TruthTable:
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise InputError(f"table file {path} missing version 1 marker")
     n = doc.get("n")
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"table file {path} has bad variable count {n!r}")
     _check_vars(n)
     hexbits = doc.get("bits")

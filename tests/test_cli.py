@@ -207,7 +207,7 @@ def test_analyze_variable_count_exit_codes(expr, exit_code):
     assert code == exit_code
 
 
-@pytest.mark.parametrize("n, exit_code", [(0, 2), (21, 3)])
+@pytest.mark.parametrize("n, exit_code", [(0, 2), (21, 3), (True, 2)])
 def test_table_file_variable_count_exit_codes(tmp_path, n, exit_code):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"version": 1, "n": n, "bits": "0"}))

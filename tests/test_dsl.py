@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from influence_lab import oracles
 from influence_lab.dsl import Node, elaborate, parse, render_minterms, unparse
 from influence_lab.errors import CapacityError, InputError, ParseError
 from influence_lab.truthtable import builtin, compose, iterate, random_table
@@ -103,6 +104,26 @@ def test_elaborate_constants():
     one = elaborate("1")
     assert zero.n == 1 and list(zero.bits()) == [0, 0]
     assert one.n == 1 and list(one.bits()) == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "source, n, reference",
+    [
+        ("!x0 ^ (x1 & 1) | 0", 2, lambda x: (1 - x[0]) ^ (x[1] & 1) | 0),
+        ("!(0 | 1) ^ !0", 1, lambda x: 1),
+        ("!(1 & !0)", 1, lambda x: 0),
+        # arity 11 and 10: the packed argument index runs past 255
+        ("maj(x0, !x1, x2, x3, x4, x5, x6, x7, x8, x9, 1)", 10, lambda x: int(sum(x) - 2 * x[1] + 2 > 5)),
+        ("parity(x0, x1, x2, x3, x4, x5, x6, x7, x8, !x9)", 10, lambda x: (sum(x) + 1) & 1),
+        (
+            "maj(parity(x0, x1, x2), x3 & !x4, or(0, x5), 1, 0)",
+            6,
+            lambda x: int((x[0] ^ x[1] ^ x[2]) + (x[3] & (1 - x[4])) + x[5] + 1 > 2),
+        ),
+    ],
+)
+def test_elaborate_matches_pointwise_reference(source, n, reference):
+    assert elaborate(source) == oracles.tabulate(n, reference)
 
 
 def test_elaborate_errors():

@@ -159,6 +159,18 @@ def test_top_entries_match_full_sort():
     assert min(nums) < 0 < max(nums)
 
 
+def test_top_entries_all_tied_or_fewer_than_count():
+    # a bent function: all 2^n coefficients tie in magnitude, so the smallest masks win
+    bent = oracles.tabulate(8, lambda x: (x[0] & x[1]) ^ (x[2] & x[3]) ^ (x[4] & x[5]) ^ (x[6] & x[7]))
+    spec = wht(bent)
+    assert set(np.abs(spec.sums).tolist()) == {16}
+    assert [e["s"] for e in top_entries(spec, 8)] == list(range(8))
+    # parity: one nonzero coefficient, fewer than the count asked for
+    for n in (1, 10, 20):
+        top = top_entries(wht(builtin("parity", n)), 8)
+        assert top == [{"s": (1 << n) - 1, "coeff_num": 1 << n, "coeff_den": 1 << n}]
+
+
 def test_spectrum_section_counts_and_dump():
     for t in (builtin("maj", 7), random_table(10, 4), complement(random_table(9, 6))):
         spec = wht(t)

@@ -82,6 +82,12 @@ def test_sensitivity_profile_matches_pointwise():
         assert profile[x] == sensitivity_at(t, x)
 
 
+def test_sensitivity_profile_of_parity_at_the_cap():
+    profile = sensitivity_profile(builtin("parity", 20))
+    assert bool(np.all(profile == 20))
+    assert int(profile.sum()) == 20 << 20
+
+
 def test_block_sensitivity_paper_f():
     result = block_sensitivity(PAPER_F)
     assert result.value == 3

@@ -115,6 +115,43 @@ def test_iterate_capacity():
         iterate(builtin("paper_f", 4), 0)
 
 
+def _compose_reference(outer, inner):
+    """compose in int64 index arithmetic: bit j of the outer index is inner on block j."""
+    x = np.arange(1 << (outer.n * inner.n), dtype=np.int64)
+    index = np.zeros_like(x)
+    for j in range(outer.n):
+        block = (x >> (j * inner.n)) & (inner.size - 1)
+        index |= inner.bits()[block].astype(np.int64) << j
+    return TruthTable.from_bit_array(outer.bits()[index])
+
+
+def test_compose_and_iterate_match_int64_reference():
+    tables = [builtin("maj", n) for n in (1, 3, 5, 7)] + [builtin("parity", n) for n in (1, 2, 4, 8, 16)]
+    tables += [builtin("and", 2), builtin("or", 4), builtin("paper_f", 4), random_table(3, 9)]
+    pairs = 0
+    for outer in tables:
+        for inner in tables:
+            if outer.n * inner.n <= 16:
+                assert compose(outer, inner) == _compose_reference(outer, inner), (outer, inner)
+                pairs += 1
+    assert pairs > 50
+    for t, k in ((builtin("paper_f", 4), 2), (builtin("maj", 3), 2), (builtin("parity", 2), 4), (builtin("or", 4), 2)):
+        expected = t
+        for _ in range(k - 1):
+            expected = _compose_reference(t, expected)
+        assert iterate(t, k) == expected
+
+
+def test_permute_variables_with_numpy_indices_at_the_cap():
+    t = random_table(20, 8)
+    perm = np.random.default_rng(3).permutation(20)
+    x = np.arange(1 << 20, dtype=np.int64)
+    src = np.zeros_like(x)
+    for i, p_i in enumerate(perm.tolist()):
+        src |= ((x >> p_i) & 1) << i
+    assert permute_variables(t, perm) == TruthTable.from_bit_array(t.bits()[src])
+
+
 def test_paper_f_matches_formula_substitution():
     # f(x) = x0 (x1 - x2)^2 + (1 - x0)(x2 - x3)^2, evaluated directly
     f = builtin("paper_f", 4)
