@@ -80,7 +80,8 @@ def test_exact_minimax_parity2():
 
 
 def test_exact_matches_scipy():
-    # n = 2..4 reaches both LP encodings: kernel rows when few masks exceed d, image rows otherwise
+    # n = 2..4 reaches both LP encodings: image rows when 4k < m (n = 3, 4 at d = 0),
+    # factored kernel rows otherwise (every other d, and n = 2 throughout)
     for n in (2, 3, 4):
         for seed in range(6):
             t = random_table(n, 1300 + seed)
@@ -189,6 +190,34 @@ def test_highs_unbounded_exactly_from_exact_degree(monkeypatch):
         # at d = n the kernel encoding has no rows at all
         assert [status for _, status in calls] == [3, 3, 0]
         assert calls[1][0] == 0
+
+
+def test_image_and_factored_kernel_encodings_agree():
+    # both encodings state the same LP; each is built and solved here whichever the rule picks
+    tables = [random_table(n, seed) for n in (7, 8) for seed in (2, 3)] + [builtin("maj", 7)]
+    for t in tables:
+        for d in range(exact_degree(t)):
+            image = approxdeg._solve(t, d, approxdeg._image_rows(t, d))
+            factored = approxdeg._solve(t, d, approxdeg._factored_kernel_rows(t, d))
+            assert image[0] == pytest.approx(factored[0], abs=1e-9)
+            for t_star, poly in (image, factored):
+                assert max_abs_error(poly, t) <= t_star + FEAS_TOL
+
+
+def test_factored_kernel_rows_stay_sparse(monkeypatch):
+    # the dense kernel block H_{>d} held m 2^n = 386 * 1024 nonzeros here; the
+    # butterfly stages hold at most (4 ceil(n/2) + 1) 2^n
+    sizes, solve = [], approxdeg.linprog
+
+    def recording(*args, **kwargs):
+        sizes.append(kwargs["A_eq"].nnz)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(approxdeg, "linprog", recording)
+    t = random_table(10, 3)
+    t_star, poly = min_error_at_degree(t, 5)
+    assert max_abs_error(poly, t) <= t_star + FEAS_TOL
+    assert len(sizes) == 1 and sizes[0] <= (4 * 5 + 1) << 10
 
 
 def test_min_error_maj9_within_solver_tolerance():
