@@ -47,19 +47,23 @@ the returned coefficients are one butterfly of p = f + v/s divided by 2^n,
 zeroed at the masks of popcount > d, so the polynomial has degree <= d by
 construction. A MultilinearPoly holds them dense over all 2^n masks, one
 float64 vector, so its values() is one more butterfly. approx_degree is the
-smallest d whose t*_d clears the threshold. Every returned polynomial is
-re-checked against all 2^n constraints, and small instances are
-cross-validated in the tests against the exact rational simplex in lp.py.
+smallest d whose t*_d clears the threshold, found by walking up from the
+last degree an exact spectral dual certificate rules out (approx_degree_scan).
+Every returned polynomial is re-checked against all 2^n constraints, and
+small instances are cross-validated in the tests against the exact rational
+simplex in lp.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .bounds import minimax_error_floor
 from .errors import CapacityError, ConsistencyError, InputError, SolverError
 from .fourier import butterfly, spectral_degree, wht
 from .truthtable import TruthTable, popcounts
@@ -219,7 +223,7 @@ def min_error_at_degree(t: TruthTable, d: int) -> tuple[float, MultilinearPoly]:
 class DegreeScan:
     degree: int
     exact_degree: int
-    errors: dict[int, float] = field(default_factory=dict)  # d -> t*_d for solved d
+    errors: dict[int, float] = field(default_factory=dict)  # d -> t*_d for the degrees visited
     polynomials: dict[int, MultilinearPoly] = field(default_factory=dict)
 
     @property
@@ -228,51 +232,57 @@ class DegreeScan:
 
 
 def approx_degree_scan(t: TruthTable, eps: float, max_degree: int | None = None) -> DegreeScan:
-    """Smallest d with t*_d <= eps + 1e-9, binary-searched over d.
+    """Smallest d with t*_d <= eps + 1e-9, by walking up from a certified floor.
 
-    t*_d is nonincreasing in d (a lower degree bound only removes freedom),
-    which makes the threshold crossing monotone. Known answers need no
-    solve: for d >= deg f, t*_d = 0 and f's own expansion is optimal; for
-    smaller d, t*_d >= max_{|S| > d} |c_S| over f's coefficients c, since
-    each character chi_S is a dual certificate. The search runs between the
-    last degree that bound rules out and the exact degree (or max_degree),
-    and the report always holds t*_{d-1} beside the answer d.
+    t*_d is nonincreasing in d (a lower degree bound only removes freedom).
+    One spectrum gives deg f and, at each d < deg f, the exact dual
+    certificate bounds.minimax_error_floor(spec, d) <= t*_d. The floor is
+    1 + the largest d whose certificate is above the threshold: every degree
+    below it is ruled out unsolved. The scan solves d = floor, floor + 1, ...
+    until t*_d clears the threshold, then makes sure t*_{d-1} is held beside
+    the answer d. errors and polynomials hold only the degrees visited.
+    Known answers need no solve: for d >= deg f, t*_d = 0 and f's own
+    expansion is optimal; at d = 0, t*_0 = 1/2 for nonconstant f, since
+    p = 1/2 attains the certificate, which is exactly 1/2 there.
     """
     if not 0 <= eps < 0.5:
         raise InputError(f"error probability must be in [0, 0.5), got {eps}")
-    deg = exact_degree(t)
+    if max_degree is not None and max_degree < 0:
+        raise InputError(f"degree must be in 0..{t.n}, got {max_degree}")
+    spec = wht(t)
+    deg = spectral_degree(spec)
     hi = deg if max_degree is None else min(max_degree, t.n)
     scan = DegreeScan(degree=hi, exact_degree=deg)
     threshold = eps + FEAS_TOL
-    # f's own 0/1 expansion; exact, since its coefficients are dyadic
-    expansion = butterfly(t.bits(), np.float64) / (1 << t.n)
+    size = 1 << t.n
+    # f's own 0/1 expansion, f = (1 - F)/2 for the sign view F; exact, since its coefficients are dyadic
+    expansion = -spec.sums / (2 * size)
+    expansion[0] += 0.5
 
     def solved(d: int) -> float:
         if d not in scan.errors:
             if d >= deg:
-                scan.errors[d], scan.polynomials[d] = 0.0, _truncated(t.n, expansion, d)
+                known = 0.0, _truncated(t.n, expansion, d)
+            elif d == 0:
+                known = 0.5, _truncated(t.n, np.full(size, 0.5), 0)  # p = 1/2
             else:
-                scan.errors[d], scan.polynomials[d] = min_error_at_degree(t, d)
+                known = min_error_at_degree(t, d)
+            scan.errors[d], scan.polynomials[d] = known
         return scan.errors[d]
 
-    if solved(hi) > threshold:
+    # 1 + the largest degree whose certificate rules it out, compared exactly
+    bound = Fraction(threshold)
+    d = next((low + 1 for low in reversed(range(deg)) if minimax_error_floor(spec, low) > bound), 0)
+    while d <= hi and solved(d) > threshold:
+        d += 1
+    if d > hi:
         raise SolverError(
             f"no polynomial of degree <= {hi} reaches error {eps}"
             + (" (max_degree cap)" if max_degree is not None else "")
         )
-    # t*_d >= |c_S| for every |S| > d, so every d below the largest |S| with
-    # |c_S| > threshold is ruled out unsolved
-    lo = min(hi, int(popcounts(t.n)[np.abs(expansion) > threshold].max(initial=0)))
-    # invariant: solved(hi) <= threshold; answer in [lo, hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if solved(mid) <= threshold:
-            hi = mid
-        else:
-            lo = mid + 1
-    scan.degree = hi
-    if hi > 0:
-        solved(hi - 1)
+    scan.degree = d
+    if d > 0:
+        solved(d - 1)
     return scan
 
 

@@ -19,8 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InputError
-from .fourier import FourierSpectrum
+from .fourier import FourierSpectrum, butterfly
+from .truthtable import popcounts
 
 
 class BoundValue(NamedTuple):
@@ -53,6 +56,26 @@ def flip_prob_spectral(spec: FourierSpectrum, k: int) -> Fraction:
     At k=1 this equals the average influence.
     """
     return (1 - correlation_decay(spec, k)) / 2
+
+
+def minimax_error_floor(spec: FourierSpectrum, d: int) -> Fraction:
+    """Exact lower bound on t*_d, the minimax error of degree-<=d polynomials on the 0/1 view.
+
+    Let g = 2^n F_{>d}, the part of the sign view F above degree d, in
+    integers. psi = -g is orthogonal to every polynomial of degree <= d, and
+    <f, psi> = sum g^2 / (2 * 2^n) for f = (1 - F)/2. So by weak duality
+    every such p has max |p - f| >= <f, psi> / ||psi||_1
+    = sum g^2 / (2 * 2^n * sum |g|). It is 0 when g = 0 (d >= deg f) and
+    exactly 1/2 at d = 0 for nonconstant f.
+    """
+    if not 0 <= d <= spec.n:
+        raise InputError(f"degree must be in 0..{spec.n}, got {d}")
+    g = butterfly(np.where(popcounts(spec.n) > d, spec.sums, 0))
+    l1 = int(np.abs(g).sum())  # below 2^51 at n = 20, since |g| <= 2^n (1 + 2^(n/2))
+    if not l1:
+        return Fraction(0)
+    # sum g^2 = 2^n sum_{|S| > d} sums[S]^2 by Parseval, exact in Python integers
+    return Fraction(sum(spec.weight_profile()[d + 1 :]), 2 * l1)
 
 
 def query_lb_influence(rho: float, n: int, eps: float) -> BoundValue:
@@ -177,6 +200,7 @@ __all__ = [
     "displacement_lower_bound",
     "displacement_upper_bound",
     "flip_prob_spectral",
+    "minimax_error_floor",
     "query_lb_block_sensitivity",
     "query_lb_degree",
     "query_lb_influence",

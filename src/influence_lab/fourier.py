@@ -57,19 +57,18 @@ class FourierSpectrum:
         return tuple(profile.tolist())
 
 
-def butterfly(values: np.ndarray, dtype=np.int64) -> np.ndarray:
-    """Fast transform along axis 0, on a copy in the given dtype.
+def _butterfly_in_place(out: np.ndarray) -> np.ndarray:
+    """The transform of butterfly, overwriting out (C-contiguous); returns out.
 
-    out[s] = sum_x values[x] * (-1)^(s.x) for every mask s; any trailing axes
-    are carried along, so a (2^n, k) stack transforms k vectors at once. The
-    transform is its own inverse up to the factor 2^n.
+    One half-size scratch holds each stage's first halves.
     """
-    out = np.array(values, dtype=dtype, order="C")
     size = out.shape[0]
+    scratch = np.empty((size // 2, *out.shape[1:]), dtype=out.dtype)
     h = 1
     while h < size:
         view = out.reshape(-1, 2, h, *out.shape[1:])
-        a = view[:, 0].copy()
+        a = scratch.reshape(view[:, 0].shape)
+        np.copyto(a, view[:, 0])
         b = view[:, 1]
         view[:, 0] += b
         np.subtract(a, b, out=b)
@@ -77,9 +76,19 @@ def butterfly(values: np.ndarray, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def butterfly(values: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Fast transform along axis 0, on a copy in the given dtype.
+
+    out[s] = sum_x values[x] * (-1)^(s.x) for every mask s; any trailing axes
+    are carried along, so a (2^n, k) stack transforms k vectors at once. The
+    transform is its own inverse up to the factor 2^n.
+    """
+    return _butterfly_in_place(np.array(values, dtype=dtype, order="C"))
+
+
 def wht(t: TruthTable) -> FourierSpectrum:
     """Exact spectrum of the sign view, O(n 2^n) integer additions."""
-    sums = butterfly(t.signs())
+    sums = _butterfly_in_place(t.signs())  # signs() is a fresh int64 array
     sums.flags.writeable = False
     return FourierSpectrum(t.n, sums)
 

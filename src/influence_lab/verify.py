@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bounds, fourier, measures, oracles, qsim
+from . import bounds, fourier, lp, measures, oracles, qsim
 from .truthtable import builtin, random_table, table_id
 
 
@@ -115,12 +115,29 @@ def _parity_mismatches(n_max: int):
                 yield f"n={n} k={k}"
 
 
+def _floor_violations(n_max: int, seed: int, samples: int):
+    # the exact simplex takes up to 0.5 s per degree at n = 4, so two tables per n
+    tables = [(table_id(t), t) for t in _tables(min(n_max, 4), seed, min(samples, 2))]
+    tables += [(f"{name}({n})", builtin(name, n)) for name, n, _ in oracles.builtin_references() if n <= 4]
+    for label, t in tables:
+        spec = fourier.wht(t)
+        for d in range(fourier.spectral_degree(spec)):  # both are 0 from deg f on
+            floor, (exact, _) = bounds.minimax_error_floor(spec, d), lp.minimax_fit_exact(t, d)
+            if floor > exact:
+                yield f"{label} d={d}: floor {floor} > t* {exact}"
+
+
 def suite_bounds(n_max: int, seed: int, samples: int) -> list[Check]:
     cases = [(t, fourier.wht(t)) for t in _tables(n_max, seed, samples)]
     return [
         _check("bounds", "spectral flip probability equals brute force", _flip_mismatches(cases)),
         _check("bounds", "k=1 bound reduces to the influence bound", _reduction_mismatches(cases)),
         _check("bounds", "parity bound is exactly n/2 for every odd k", _parity_mismatches(n_max)),
+        _check(
+            "bounds",
+            "spectral minimax floor never exceeds the exact minimax error",
+            _floor_violations(n_max, seed, samples),
+        ),
     ]
 
 

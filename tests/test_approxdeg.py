@@ -14,7 +14,9 @@ from influence_lab.approxdeg import (
     mean_square_flip,
     min_error_at_degree,
 )
+from influence_lab.bounds import minimax_error_floor
 from influence_lab.errors import CapacityError, InputError, SolverError
+from influence_lab.fourier import wht
 from influence_lab.lp import minimax_fit_exact, solve_min_exact
 from influence_lab.truthtable import TruthTable, builtin, random_table
 
@@ -125,7 +127,9 @@ def test_exact_degree_shortcut_agrees_with_lp(small_corpus):
             assert poly.coeffs == pytest.approx(known.coeffs, abs=1e-9)
 
 
-def test_eps_zero_scan_solves_only_the_degree_below(monkeypatch):
+@pytest.fixture
+def solves(monkeypatch):
+    """The degrees a scan hands to min_error_at_degree, in order."""
     solved = []
 
     def counting(t, d):
@@ -133,15 +137,84 @@ def test_eps_zero_scan_solves_only_the_degree_below(monkeypatch):
         return min_error_at_degree(t, d)
 
     monkeypatch.setattr(approxdeg, "min_error_at_degree", counting)
+    return solved
+
+
+def test_eps_zero_scan_solves_only_the_degree_below(solves):
     for seed in range(4):
         t = random_table(6, 2300 + seed)
         deg = exact_degree(t)
-        solved.clear()
+        solves.clear()
         scan = approx_degree_scan(t, 0.0)
         assert scan.degree == scan.exact_degree == deg
-        assert solved == [deg - 1]
+        assert solves == [deg - 1]
         assert scan.errors[deg] == 0.0 and scan.errors[deg - 1] > 0.0
         assert max_abs_error(scan.polynomial, t) == 0.0
+
+
+def test_scan_walks_up_from_the_spectral_floor(solves):
+    # random_table(9,2): the certificate at d = 4 is above 1/3, so d = 5 is
+    # solved first, then d = 4 for the report
+    scan = approx_degree_scan(random_table(9, 2), 0.3333)
+    assert (scan.degree, solves, sorted(scan.errors)) == (5, [5, 4], [4, 5])
+    solves.clear()
+    scan = approx_degree_scan(builtin("maj", 7), 0.3333)
+    assert (scan.degree, solves) == (3, [1, 2, 3])
+
+
+def test_scan_cap_below_the_floor_raises_before_any_solve(solves):
+    with pytest.raises(SolverError):
+        approx_degree_scan(builtin("parity", 4), 0.0, max_degree=2)
+    assert solves == []
+    # a cap between the floor and the answer raises once the walk passes it
+    with pytest.raises(SolverError):
+        approx_degree_scan(builtin("maj", 7), 0.3333, max_degree=2)
+    assert solves == [1, 2]
+    assert approx_degree_scan(builtin("maj", 7), 0.3333, max_degree=3).degree == 3
+    with pytest.raises(InputError):
+        approx_degree_scan(OR2, 0.1, max_degree=-1)
+
+
+def test_scan_knows_t0_without_highs(solves, monkeypatch):
+    calls, solve = [], approxdeg.linprog
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["A_eq"].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(approxdeg, "linprog", recording)
+    scan = approx_degree_scan(OR2, 1 / 3)
+    assert (scan.degree, solves, len(calls)) == (1, [1], 1)
+    assert scan.errors[0] == 0.5
+    assert scan.polynomials[0].coeffs.tolist() == [0.5, 0.0, 0.0, 0.0]
+    assert max_abs_error(scan.polynomials[0], OR2) == 0.5
+
+
+@pytest.fixture(scope="module")
+def every_degree(corpus):
+    """HiGHS's t*_d at every d < deg f, for the first 12 corpus tables of each n = 2..8."""
+    return [
+        (t, [min_error_at_degree(t, d)[0] for d in range(exact_degree(t))])
+        for tables in corpus.values()
+        for t in tables[:12]
+    ]
+
+
+def test_minimax_error_floor_below_highs(every_degree):
+    for t, errors in every_degree:
+        spec = wht(t)
+        for d, t_star in enumerate(errors):
+            assert float(minimax_error_floor(spec, d)) <= t_star + FEAS_TOL
+
+
+def test_scan_matches_a_scan_of_every_degree(every_degree):
+    for t, errors in every_degree:
+        for eps in (0.1, 1 / 3):
+            scan = approx_degree_scan(t, eps)
+            d = next((d for d, t_star in enumerate(errors) if t_star <= eps + FEAS_TOL), len(errors))
+            assert scan.degree == d
+            if d:
+                assert scan.errors[d - 1] == errors[d - 1]
 
 
 def test_min_error_no_reverification_failure_at_n9():

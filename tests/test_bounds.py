@@ -11,6 +11,7 @@ from influence_lab.bounds import (
     displacement_lower_bound,
     displacement_upper_bound,
     flip_prob_spectral,
+    minimax_error_floor,
     query_lb_block_sensitivity,
     query_lb_degree,
     query_lb_influence,
@@ -168,3 +169,38 @@ def test_correlation_decay_parseval_link():
         t = random_table(4, 700 + seed)
         spec = fourier.wht(t)
         assert correlation_decay(spec, 1) == 1 - 2 * measures.avg_influence(t)
+
+
+def test_minimax_error_floor_known_values(small_corpus):
+    # at d = 0 the certificate is exactly the 1/2 that p = 1/2 attains; from deg f on it is 0
+    for tables in small_corpus.values():
+        for t in tables:
+            spec = fourier.wht(t)
+            deg = fourier.spectral_degree(spec)
+            assert minimax_error_floor(spec, 0) == (Fraction(1, 2) if deg else 0)
+            assert all(minimax_error_floor(spec, d) == 0 for d in range(deg, t.n + 1))
+            assert all(minimax_error_floor(spec, d) > 0 for d in range(deg))
+    # OR_2 at d = 1: psi is the parity character, and the floor is the exact t*_1 = 1/4
+    assert minimax_error_floor(fourier.wht(builtin("or", 2)), 1) == Fraction(1, 4)
+    assert minimax_error_floor(fourier.wht(TruthTable(3, 0)), 0) == 0
+
+
+def test_minimax_error_floor_equals_its_dual_sum():
+    # <f, psi> / ||psi||_1 with psi = -2^n F_{>d}, summed directly over inputs
+    for seed in range(4):
+        t = random_table(5, 4100 + seed)
+        spec = fourier.wht(t)
+        f = [int(b) for b in t.bits()]
+        for d in range(t.n + 1):
+            high = [int(c) if bin(s).count("1") > d else 0 for s, c in enumerate(spec.sums)]
+            psi = [-sum(c * (-1) ** bin(s & x).count("1") for s, c in enumerate(high)) for x in range(t.size)]
+            l1 = sum(map(abs, psi))
+            expect = Fraction(sum(fx * px for fx, px in zip(f, psi)), l1) if l1 else 0
+            assert minimax_error_floor(spec, d) == expect
+
+
+def test_minimax_error_floor_rejects_bad_degree():
+    spec = fourier.wht(builtin("or", 2))
+    for d in (-1, 3):
+        with pytest.raises(InputError):
+            minimax_error_floor(spec, d)

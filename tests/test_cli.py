@@ -240,6 +240,7 @@ VERIFY_LABELS = [
     "bounds: spectral flip probability equals brute force",
     "bounds: k=1 bound reduces to the influence bound",
     "bounds: parity bound is exactly n/2 for every odd k",
+    "bounds: spectral minimax floor never exceeds the exact minimax error",
     "qsim: norm and support invariants hold on every run",
     "qsim: Fourier picture matches the direct simulator",
     "qsim: batched oracle states match per-oracle reconstruction",
@@ -254,7 +255,7 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
     *lines, summary = out.strip().splitlines()
     assert [line.rsplit("  PASS", 1)[0].rstrip() for line in lines] == VERIFY_LABELS
-    assert summary == "15/15 checks passed"
+    assert summary == "16/16 checks passed"
 
 
 def test_verify_qsim_suite_draws_samples_tables(monkeypatch):

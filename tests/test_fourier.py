@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from influence_lab.errors import ConsistencyError
 from influence_lab.fourier import (
     FourierSpectrum,
     avg_influence,
+    butterfly,
     inverse_wht,
     nonzero_entries,
     spectral_degree,
@@ -44,6 +46,48 @@ def test_wht_matches_direct_oracle(small_corpus):
     for tables in small_corpus.values():
         for t in tables:
             assert np.array_equal(wht(t).sums, oracles.wht_direct(t))
+
+
+def _butterfly_stage_copies(values, dtype):
+    """The transform with a fresh copy of each stage's first halves, as a reference."""
+    out = np.array(values, dtype=dtype, order="C")
+    h = 1
+    while h < out.shape[0]:
+        view = out.reshape(-1, 2, h, *out.shape[1:])
+        a = view[:, 0].copy()
+        b = view[:, 1]
+        view[:, 0] += b
+        np.subtract(a, b, out=b)
+        h *= 2
+    return out
+
+
+def test_butterfly_matches_stage_copies_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for dtype in (np.int64, np.float64, np.complex128):
+        for shape in ((1,), (2,), (64,), (32, 3)):
+            values = (rng.standard_normal(shape) * 1000).astype(dtype)
+            if dtype is np.complex128:
+                values += 1j * rng.standard_normal(shape)
+            before = values.copy()
+            out = butterfly(values, dtype)
+            assert out.dtype == dtype and out.shape == shape
+            assert np.array_equal(out, _butterfly_stage_copies(values, dtype))
+            assert np.array_equal(values, before)  # the input is not touched
+
+
+def test_wht_holds_no_second_full_copy():
+    # signs() is transformed where it is: the spectrum and a half-size scratch,
+    # after signs() itself briefly holds two full-size arrays
+    t = random_table(16, 3)
+    t.bits()
+    tracemalloc.start()
+    try:
+        spec = wht(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * spec.sums.nbytes + 4096
 
 
 def test_parseval_exact(small_corpus):
