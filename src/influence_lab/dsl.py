@@ -265,24 +265,32 @@ def _collect_vars(node: Node, out: set) -> None:
         _collect_vars(child, out)
 
 
-def _eval_formula(node: Node, columns: list[np.ndarray]) -> np.ndarray:
+def _column(n: int, v: int) -> np.ndarray:
+    """x_v = (idx >> v) & 1 at every index of an n-variable table, as uint8."""
+    column = np.zeros((1 << (n - 1 - v), 2, 1 << v), dtype=np.uint8)
+    column[:, 1, :] = 1
+    return column.reshape(-1)
+
+
+def _eval_formula(node: Node, n: int) -> np.ndarray:
+    """Every value is a bit in a uint8 array; a leaf builds its column when it is read."""
     kind = node.kind
     if kind == "var":
-        return columns[node.value]
+        return _column(n, node.value)
     if kind == "const":
         if node.value not in (0, 1):
             raise InputError(
                 f"integer literal {node.value} is only valid as a builtin argument"
             )
-        return np.full_like(columns[0], node.value)
+        return np.full(1 << n, node.value, dtype=np.uint8)
     if kind == "not":
-        return 1 - _eval_formula(node.children[0], columns)
+        return 1 - _eval_formula(node.children[0], n)
     if kind == "and":
-        return _eval_formula(node.children[0], columns) & _eval_formula(node.children[1], columns)
+        return _eval_formula(node.children[0], n) & _eval_formula(node.children[1], n)
     if kind == "or":
-        return _eval_formula(node.children[0], columns) | _eval_formula(node.children[1], columns)
+        return _eval_formula(node.children[0], n) | _eval_formula(node.children[1], n)
     if kind == "xor":
-        return _eval_formula(node.children[0], columns) ^ _eval_formula(node.children[1], columns)
+        return _eval_formula(node.children[0], n) ^ _eval_formula(node.children[1], n)
     if kind == "call":
         name = node.value
         if name not in _FUNCTION_NAMES:
@@ -293,10 +301,11 @@ def _eval_formula(node: Node, columns: list[np.ndarray]) -> np.ndarray:
         if arity == 0:
             raise InputError(f"{name} needs arguments when used inside a formula")
         table = builtin(name, arity)
-        # the argument index needs arity <= MAX_VARS bits, more than a uint8 column holds
-        packed = np.zeros(columns[0].shape, dtype=np.uint32)
+        # the argument index needs arity <= MAX_VARS bits: the narrowest unsigned type that holds them
+        dtype = np.min_scalar_type((1 << arity) - 1)
+        packed = np.zeros(1 << n, dtype=dtype)
         for j, child in enumerate(node.children):
-            packed |= np.left_shift(_eval_formula(child, columns), j, dtype=np.uint32)
+            packed |= np.left_shift(_eval_formula(child, n), j, dtype=dtype)
         return table.bits()[packed]
     raise InputError(f"cannot evaluate node kind {kind!r}")
 
@@ -319,10 +328,7 @@ def elaborate_node(node: Node) -> TruthTable:
             raise CapacityError(f"formula uses {n} variables, cap is {MAX_VARS}")
     else:
         n = 1  # constant formulas become 1-variable constant tables
-    # every value is a bit: uint8 columns, from an index that fits uint32 as n <= MAX_VARS
-    idx = np.arange(1 << n, dtype=np.uint32)
-    columns = [((idx >> i) & 1).astype(np.uint8) for i in range(n)]
-    return TruthTable.from_bit_array(_eval_formula(node, columns))
+    return TruthTable.from_bit_array(_eval_formula(node, n))
 
 
 def elaborate(source: str) -> TruthTable:

@@ -19,6 +19,11 @@ change a value or a witness. A group's ceiling S + floor(free/2) never grows
 along that order, so the scan ends at the first group that cannot reach the
 incumbent. The witness is the smallest input index attaining the maximum, so
 no scan order can move it.
+
+Only one input per orbit is scanned. Exchanging two interchangeable variables
+(symmetry_classes) maps sensitive blocks at x to sensitive blocks at the image
+of x, so bs is the same across an orbit, and the orbit's smallest index, whose
+ones fill the lowest-indexed members of each class, stands for it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .truthtable import TruthTable
 
-BS_EXACT_MAX_VARS = 16  # the 2^16-input scan takes tens of seconds when bs is far below n/2
+# with no interchangeable pair of variables the scan visits all 2^16 inputs: about 1 s for
+# iterate(paper_f, 2) (bs 9), and longer when bs is far below n/2 so the ceiling never prunes
+BS_EXACT_MAX_VARS = 16
 # the block-sensitivity scan gathers inputs x subsets in batches: about 2^18
 # elements keeps the index array in cache, and at least 16 inputs spreads each
 # pass's loop overhead when subcubes are large
@@ -52,7 +59,9 @@ class BlockSensitivityResult:
     exact: bool  # False only when a time budget expired; value is then a lower bound
     witness_input: int  # the smallest input index attaining value
     witness_blocks: tuple[int, ...]  # disjoint variable masks, each flips f at the witness
-    inputs_scanned: int  # inputs whose candidate blocks were computed; the rest were pruned
+    # orbit minima whose candidate blocks were computed; the other minima were pruned, and
+    # the rest of the inputs share their orbit's bs (at most prod(|C| + 1) over symmetry_classes)
+    inputs_scanned: int
 
 
 @dataclass(frozen=True)
@@ -125,6 +134,47 @@ def sensitive_coordinate_masks(t: TruthTable) -> np.ndarray:
         mview[:, 0, :] |= diff
         mview[:, 1, :] |= diff
     return masks
+
+
+def _pair_view(a: np.ndarray, i: int, j: int) -> np.ndarray:
+    """A full-table array indexed as [higher bits, x_j, bits between, x_i, lower bits], i < j."""
+    return a.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+
+
+def symmetry_classes(t: TruthTable) -> tuple[tuple[int, ...], ...]:
+    """The variables partitioned by i ~ j: exchanging x_i and x_j leaves f unchanged.
+
+    ~ is an equivalence (if i ~ j and j ~ k, the transposition (i k) is (i j)
+    conjugated by (j k)), so a new variable is compared only with the first
+    member of each class, and only of a class with its own influence, which
+    interchangeable variables share. Classes and their members are ascending.
+    """
+    bits = t.bits()
+    infl = influences(t)
+    classes: list[list[int]] = []
+    for j in range(t.n):
+        for c in classes:
+            if infl[c[0]] == infl[j]:
+                view = _pair_view(bits, c[0], j)
+                if np.array_equal(view[:, 0, :, 1, :], view[:, 1, :, 0, :]):
+                    c.append(j)
+                    break
+        else:
+            classes.append([j])
+    return tuple(tuple(c) for c in classes)
+
+
+def _orbit_minima(classes: tuple[tuple[int, ...], ...], size: int) -> np.ndarray:
+    """Ascending inputs whose ones fill, in every class, its lowest-indexed members.
+
+    Those are the smallest indices of the orbits under exchanges within classes,
+    one per orbit: prod(|C| + 1) of them.
+    """
+    keep = np.ones(size, dtype=bool)
+    for c in classes:
+        for lo, hi in zip(c, c[1:]):
+            _pair_view(keep, lo, hi)[:, 1, :, 0, :] = False  # x_hi = 1 above x_lo = 0
+    return np.flatnonzero(keep)
 
 
 def _spread_table(free_coords: tuple[int, ...]) -> np.ndarray:
@@ -258,9 +308,14 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
     bits = t.bits()
     n = t.n
     coord_masks = sensitive_coordinate_masks(t)
+    # bs_x is the same at every input of an orbit under exchanges of
+    # interchangeable variables, and an orbit's minimum is its smallest index,
+    # so scanning the minima alone keeps the value and the witness
+    reps = _orbit_minima(symmetry_classes(t), t.size)
     # one sort: most sensitive coordinates first, the inputs sharing a mask
     # contiguous, indices ascending within each mask (lexsort is stable)
-    order = np.lexsort((coord_masks, -np.bitwise_count(coord_masks).astype(np.int64)))
+    rep_masks = coord_masks[reps]
+    order = reps[np.lexsort((rep_masks, -np.bitwise_count(rep_masks).astype(np.int64)))]
     starts = np.flatnonzero(np.diff(coord_masks[order], prepend=-1)).tolist()
     # many inputs share the same candidate blocks; each distinct packing is solved once
     pack_cache: dict[tuple[tuple[int, ...], int], tuple[int, tuple[int, ...]]] = {}
@@ -268,7 +323,7 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
     best_x = 0
     best_blocks: tuple[int, ...] = ()
     scanned = 0
-    for lo, hi in zip(starts, starts[1:] + [t.size]):
+    for lo, hi in zip(starts, starts[1:] + [order.size]):
         coord_mask = int(coord_masks[order[lo]])
         free = tuple(i for i in range(n) if not (coord_mask >> i) & 1)
         free_count = len(free)
@@ -351,4 +406,5 @@ __all__ = [
     "sensitivity_at",
     "sensitivity_profile",
     "sensitive_coordinate_masks",
+    "symmetry_classes",
 ]

@@ -81,6 +81,24 @@ def block_sensitivity_naive(t: TruthTable) -> int:
     return max(block_sensitivity_naive_at(t, x) for x in range(t.size))
 
 
+def symmetry_classes_naive(t: TruthTable) -> tuple[tuple[int, ...], ...]:
+    """measures.symmetry_classes by testing every pair of variables at every input.
+
+    Each variable's class is every variable it can be exchanged with; nothing
+    assumes the relation is transitive, so a search that did would disagree.
+    """
+    if t.n > 12:
+        raise CapacityError("naive symmetry search is capped at n=12")
+
+    def exchangeable(i: int, j: int) -> bool:
+        for x in range(t.size):
+            if (x >> i) & 1 != (x >> j) & 1 and t.bit_at(x) != t.bit_at(x ^ (1 << i) ^ (1 << j)):
+                return False
+        return True
+
+    return tuple(sorted({tuple(j for j in range(t.n) if j == i or exchangeable(i, j)) for i in range(t.n)}))
+
+
 def _require_odd(k: int) -> None:
     if k < 1 or k % 2 == 0:
         raise InputError(f"k must be a positive odd integer, got {k}")
@@ -159,6 +177,7 @@ __all__ = [
     "displacement_direct",
     "flip_prob_bruteforce",
     "gap_check_direct",
+    "symmetry_classes_naive",
     "tabulate",
     "wht_direct",
 ]

@@ -81,11 +81,17 @@ def suite_measures(n_max: int, seed: int, samples: int) -> list[Check]:
         for t, _ in cases
         if t.n <= 6 and measures.block_sensitivity(t).value != oracles.block_sensitivity_naive(t)
     )
+    symmetry = (
+        table_id(t)
+        for t, _ in cases
+        if t.n <= 8 and measures.symmetry_classes(t) != oracles.symmetry_classes_naive(t)
+    )
     return [
         _check("measures", "counting influence equals spectral influence", rho),
         _check("measures", "average sensitivity equals rho * n", avg_sens),
         _check("measures", "per-variable influence matches squared-mass identity", _influence_mismatches(cases)),
         _check("measures", "block sensitivity matches naive packing", bs),
+        _check("measures", "symmetry classes match the brute-force transposition search", symmetry),
     ]
 
 

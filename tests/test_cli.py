@@ -237,6 +237,7 @@ VERIFY_LABELS = [
     "measures: average sensitivity equals rho * n",
     "measures: per-variable influence matches squared-mass identity",
     "measures: block sensitivity matches naive packing",
+    "measures: symmetry classes match the brute-force transposition search",
     "bounds: spectral flip probability equals brute force",
     "bounds: k=1 bound reduces to the influence bound",
     "bounds: parity bound is exactly n/2 for every odd k",
@@ -255,7 +256,7 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
     *lines, summary = out.strip().splitlines()
     assert [line.rsplit("  PASS", 1)[0].rstrip() for line in lines] == VERIFY_LABELS
-    assert summary == "16/16 checks passed"
+    assert summary == "17/17 checks passed"
 
 
 def test_verify_qsim_suite_draws_samples_tables(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -124,6 +125,26 @@ def test_elaborate_constants():
 )
 def test_elaborate_matches_pointwise_reference(source, n, reference):
     assert elaborate(source) == oracles.tabulate(n, reference)
+
+
+def test_elaborate_builds_each_column_where_a_leaf_reads_it():
+    # a 20-leaf formula over 20 variables, the shape of the wide analyze input:
+    # holding all 20 uint8 columns for the whole walk peaked at 35 MiB
+    leaves = [f"!x{v}" if v % 3 == 0 else f"x{v}" for v in range(20)]
+    source = (
+        "(maj({0}, {1}, {2}) ^ ({3} & {4}) ^ ({5} | {6} | {7}))"
+        " | (({8} ^ {9}) & maj({10}, {11} & {12}, {13}))"
+        " | ({14} & {15} & !({16} ^ {17}))"
+        " | parity({18}, {19})"
+    ).format(*leaves)
+    tracemalloc.start()
+    try:
+        t = elaborate(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.n == 20
+    assert peak <= 8 << 20  # 6.0 MiB measured: a few 1 MiB columns in flight
 
 
 def test_elaborate_errors():
