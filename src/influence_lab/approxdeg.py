@@ -18,28 +18,23 @@ The LP per degree is the Chebyshev form: minimize t subject to
 in homogenized form. Below deg f the optimum t* is positive, so write
 p = f + t v with |v(x)| <= 1 and s = 1/t, and maximize s. The bound rows
 become the column bounds -1 <= v <= 1, and no row couples p to t. "deg p
-<= d" is stated in one of two equivalent forms, with k = #{S : |S| <= d},
-m = 2^n - k and H the character matrix:
-- image encoding (4k < m): the 2^n rows v - H_{<=d} c' + s f = 0, with
-  the k scaled coefficients c' as extra free variables, a dense 2^n x k
-  block;
-- factored kernel encoding (otherwise): (H v)_S + s b_S = 0 for the m masks
-  S of popcount > d, where b = H f is exact (a sum of +-1 * {0, 1}). H is
-  never formed. It factors as H = B_{r-1} ... B_0, r = ceil(n/2) butterfly
-  stages of 4 nonzeros per row, each applying H_4 to two bits (the last one
-  H_2 to one bit when n is odd), and B_i^2 = 4 I. Every second stage
-  output y_i = B_{i-1} ... B_0 v, counting down from y_{r-1}, is a block of
-  2^n free columns, tied to the one before it (y_j, or v = y_0) by the rows
-  B_{i-1} y_i - 4 B_j y_j = 0 when i = j + 2, or y_1 - B_0 v = 0. The
-  last stage is kept only at the m rows: (B_{r-1} y_{r-1})_S + s b_S = 0.
-  Since m <= 4k here, the rows hold at most (4 ceil(n/2) + 1) 2^n nonzeros,
-  against m 2^n for the product H_{>d}; when m = 0 there are no rows.
-The choice depends on (n, d) only, and 4k < m is the measured crossover
-(random_table(n,3), 2-core host, one BLAS thread): at n = 11 the image
-encoding takes 0.10, 0.41 and 2.1 s at d = 1, 2, 3 against 0.28, 0.54 and
-2.1 s factored, then 11.4 s against 5.1 s at d = 4; at n = 12, d = 4, just
-inside 4k < m, 46 s and 773 MiB against 57 s and 188 MiB. The dense H_{>d}
-block took 160 s and 439 MiB at n = 11, d = 5 (12 s and 123 MiB factored).
+<= d" becomes (H v)_S + s b_S = 0 for the m masks S of popcount > d, where
+H is the character matrix and b = H f is exact (a sum of +-1 * {0, 1}). H
+is never formed. It factors as H = B_{r-1} ... B_0, r = ceil(n/2)
+butterfly stages of 4 nonzeros per row, each applying H_4 to two bits (the
+last one H_2 to one bit when n is odd), and B_i^2 = 4 I. Every second
+stage output y_i = B_{i-1} ... B_0 v, counting down from y_{r-1}, is a
+block of 2^n free columns, tied to the one before it (y_j, or v = y_0) by
+the rows B_{i-1} y_i - 4 B_j y_j = 0 when i = j + 2, or y_1 - B_0 v = 0.
+The last stage, of width w = 2 (1 when n is odd), is kept only at the m
+rows: (B_{r-1} y_{r-1})_S + s b_S = 0. So at every d the rows hold at most
+8 floor(r/2) 2^n + (2^w + 1) m nonzeros: at most 8 per row in each of the
+floor(r/2) held blocks of 2^n rows, and 2^w + 1 in each of the m last-stage
+rows, against m 2^n for the product H_{>d}; when m = 0 there are no rows.
+On random_table(n,3) (2-core host, one BLAS thread, fresh process) one solve
+takes 0.63 s and 130 MiB at n = 12, d = 1 and 41 s and 188 MiB at d = 4;
+the dense H_{>d} block took 160 s and 439 MiB at n = 11, d = 5, against
+12 s and 123 MiB factored.
 
 HiGHS reports the LP unbounded exactly when d >= deg f; then t*_d = 0 and
 f's own expansion cut to degree d is the answer. Otherwise t*_d = 1/s, and
@@ -102,12 +97,6 @@ def exact_degree(t: TruthTable) -> int:
     return spectral_degree(wht(t))
 
 
-def _character_matrix(n: int, masks: np.ndarray) -> np.ndarray:
-    xs = np.arange(1 << n, dtype=np.uint64)
-    overlap = np.bitwise_count(xs[:, None] & masks[None, :].astype(np.uint64))
-    return np.where(overlap & 1, -1.0, 1.0)
-
-
 def _stage(lo: int, width: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The given rows of the butterfly stage applying H_{2^width} to bits lo..lo+width-1.
 
@@ -121,16 +110,8 @@ def _stage(lo: int, width: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.repeat(np.arange(rows.size), span.size), cols.ravel(), signs.ravel()
 
 
-def _image_rows(t: TruthTable, d: int) -> sparse.csr_array:
-    """A_eq of the image encoding, v - H_{<=d} c' + s f = 0, over the columns v, s, c'."""
-    low_masks = np.flatnonzero(popcounts(t.n) <= d)
-    f01 = t.bits().astype(np.float64)
-    block = [sparse.identity(1 << t.n), f01[:, None], -_character_matrix(t.n, low_masks)]
-    return sparse.csr_array(sparse.hstack(block))
-
-
 def _factored_kernel_rows(t: TruthTable, d: int) -> sparse.csr_array:
-    """A_eq of the factored kernel encoding over the columns v, s, then the held stage outputs."""
+    """A_eq over the columns v, s, then the held stage outputs."""
     size = 1 << t.n
     high_masks = np.flatnonzero(popcounts(t.n) > d)
     if not high_masks.size:
@@ -169,11 +150,20 @@ def max_abs_error(poly: MultilinearPoly, t: TruthTable) -> float:
     return float(np.max(np.abs(poly.values() - t.bits().astype(np.float64))))
 
 
-def _solve(t: TruthTable, d: int, a_eq: sparse.csr_array) -> tuple[float, MultilinearPoly]:
-    """Maximize s subject to a_eq x = 0 over the columns v, s, then free ones; re-check the result."""
+def min_error_at_degree(t: TruthTable, d: int) -> tuple[float, MultilinearPoly]:
+    """Minimax error t*_d and an optimal degree-<=d polynomial for the table.
+
+    The solver's answer is never trusted blind: the polynomial is re-checked
+    against every constraint and must achieve max error <= t* + 1e-9.
+    """
+    if t.n > LP_MAX_VARS:
+        raise CapacityError(f"LP fits are capped at n={LP_MAX_VARS}")
+    if not 0 <= d <= t.n:
+        raise InputError(f"degree must be in 0..{t.n}, got {d}")
     size = 1 << t.n
+    a_eq = _factored_kernel_rows(t, d)
     cost = np.zeros(a_eq.shape[1])
-    cost[size] = -1.0
+    cost[size] = -1.0  # maximize s
     res = linprog(
         cost,
         A_eq=a_eq,
@@ -202,21 +192,6 @@ def _solve(t: TruthTable, d: int, a_eq: sparse.csr_array) -> tuple[float, Multil
             f"achieved {achieved}, reported {t_star}"
         )
     return t_star, poly
-
-
-def min_error_at_degree(t: TruthTable, d: int) -> tuple[float, MultilinearPoly]:
-    """Minimax error t*_d and an optimal degree-<=d polynomial for the table.
-
-    The solver's answer is never trusted blind: the polynomial is re-checked
-    against every constraint and must achieve max error <= t* + 1e-9.
-    """
-    if t.n > LP_MAX_VARS:
-        raise CapacityError(f"LP fits are capped at n={LP_MAX_VARS}")
-    if not 0 <= d <= t.n:
-        raise InputError(f"degree must be in 0..{t.n}, got {d}")
-    k = int(np.count_nonzero(popcounts(t.n) <= d))
-    rows = _image_rows if 4 * k < (1 << t.n) - k else _factored_kernel_rows
-    return _solve(t, d, rows(t, d))
 
 
 @dataclass

@@ -123,6 +123,8 @@ def _scan_section(scan: approxdeg.DegreeScan, t: TruthTable) -> dict:
 
 
 def cmd_analyze(args) -> dict:
+    if args.bs_budget is not None and not args.bs_budget >= 0:
+        raise InputError(f"--bs-budget must be a nonnegative number of seconds, got {args.bs_budget}")
     timer = _Timer(args.timing)
     t, source = _load_table(args)
     with timer.stage("measures"):

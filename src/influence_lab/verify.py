@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, fourier, lp, measures, oracles, qsim
+from .errors import InputError
 from .truthtable import builtin, random_table, table_id
 
 
@@ -206,6 +207,9 @@ _SUITES = {
 def run_suites(which: str = "all", n_max: int = 6, seed: int = 1, samples: int = 20) -> list[Check]:
     if which != "all" and which not in _SUITES:
         raise ValueError(f"unknown suite {which!r}")
+    if n_max < 2 or samples < 1:
+        # below these no random table is drawn, and every check passes on nothing
+        raise InputError(f"verify needs --n-max >= 2 and --samples >= 1, got {n_max} and {samples}")
     names = list(_SUITES) if which == "all" else [which]
     return [c for name in names for c in _SUITES[name](n_max=n_max, seed=seed, samples=samples)]
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from influence_lab import approxdeg, measures
 from influence_lab.approxdeg import (
@@ -18,7 +19,7 @@ from influence_lab.bounds import minimax_error_floor
 from influence_lab.errors import CapacityError, InputError, SolverError
 from influence_lab.fourier import wht
 from influence_lab.lp import minimax_fit_exact, solve_min_exact
-from influence_lab.truthtable import TruthTable, builtin, random_table
+from influence_lab.truthtable import TruthTable, builtin, popcounts, random_table
 
 OR2 = builtin("or", 2)
 PAPER_F = builtin("paper_f", 4)
@@ -35,6 +36,25 @@ def monomial_degree_oracle(t: TruthTable) -> int:
     return max(
         (bin(s).count("1") for s in range(t.size) if coeffs[s] != 0), default=0
     )
+
+
+def dense_chebyshev_reference(t: TruthTable, d: int) -> float:
+    """t*_d from the definition: minimize t over c_S (|S| <= d) and t, with
+    -t <= sum_S c_S (-1)^(S.x) - f(x) <= t at every x; dense rows, scipy linprog."""
+    xs = np.arange(t.size)
+    masks = [s for s in range(t.size) if bin(s).count("1") <= d]
+    chars = np.array([[(-1.0) ** bin(x & s).count("1") for s in masks] for x in xs])
+    f = t.bits().astype(np.float64)
+    ones = np.ones((t.size, 1))
+    res = linprog(
+        np.r_[np.zeros(len(masks)), 1.0],
+        A_ub=np.block([[chars, -ones], [-chars, -ones]]),
+        b_ub=np.r_[f, -f],
+        bounds=[(None, None)] * len(masks) + [(0.0, None)],
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.x[-1])
 
 
 # --- exact reference solver ---------------------------------------------
@@ -82,8 +102,7 @@ def test_exact_minimax_parity2():
 
 
 def test_exact_matches_scipy():
-    # n = 2..4 reaches both LP encodings: image rows when 4k < m (n = 3, 4 at d = 0),
-    # factored kernel rows otherwise (every other d, and n = 2 throughout)
+    # every d of n = 2..4: the factored kernel rows below n, no rows at all at d = n
     for n in (2, 3, 4):
         for seed in range(6):
             t = random_table(n, 1300 + seed)
@@ -265,21 +284,26 @@ def test_highs_unbounded_exactly_from_exact_degree(monkeypatch):
         assert calls[1][0] == 0
 
 
-def test_image_and_factored_kernel_encodings_agree():
-    # both encodings state the same LP; each is built and solved here whichever the rule picks
+def test_factored_rows_match_dense_reference():
+    # the one check of the optimum above n = 4: the production LP against the definition
     tables = [random_table(n, seed) for n in (7, 8) for seed in (2, 3)] + [builtin("maj", 7)]
     for t in tables:
         for d in range(exact_degree(t)):
-            image = approxdeg._solve(t, d, approxdeg._image_rows(t, d))
-            factored = approxdeg._solve(t, d, approxdeg._factored_kernel_rows(t, d))
-            assert image[0] == pytest.approx(factored[0], abs=1e-9)
-            for t_star, poly in (image, factored):
-                assert max_abs_error(poly, t) <= t_star + FEAS_TOL
+            t_star, poly = min_error_at_degree(t, d)
+            assert t_star == pytest.approx(dense_chebyshev_reference(t, d), abs=1e-9)
+            assert max_abs_error(poly, t) <= t_star + FEAS_TOL
 
 
 def test_factored_kernel_rows_stay_sparse(monkeypatch):
-    # the dense kernel block H_{>d} held m 2^n = 386 * 1024 nonzeros here; the
-    # butterfly stages hold at most (4 ceil(n/2) + 1) 2^n
+    # at most 8 nonzeros per row in each of the floor(r/2) held blocks of 2^n
+    # rows, 2^w + 1 in each of the m last-stage rows (w = 2, or 1 for odd n)
+    for t in (random_table(8, 3), random_table(10, 3)):
+        r, w = (t.n + 1) // 2, 2 - t.n % 2
+        for d in range(t.n + 1):
+            m = int(np.count_nonzero(popcounts(t.n) > d))
+            nnz = approxdeg._factored_kernel_rows(t, d).nnz
+            assert nnz <= 8 * (r // 2) * t.size + ((1 << w) + 1) * m
+    # the dense kernel block H_{>d} held m 2^n = 386 * 1024 nonzeros here
     sizes, solve = [], approxdeg.linprog
 
     def recording(*args, **kwargs):
@@ -290,7 +314,7 @@ def test_factored_kernel_rows_stay_sparse(monkeypatch):
     t = random_table(10, 3)
     t_star, poly = min_error_at_degree(t, 5)
     assert max_abs_error(poly, t) <= t_star + FEAS_TOL
-    assert len(sizes) == 1 and sizes[0] <= (4 * 5 + 1) << 10
+    assert sizes == [approxdeg._factored_kernel_rows(t, 5).nnz]
 
 
 def test_min_error_maj9_within_solver_tolerance():

@@ -120,6 +120,13 @@ def test_analyze_usage_errors():
     assert code == 2
 
 
+def test_analyze_negative_bs_budget_is_usage_error():
+    code, _ = run_cli("analyze", "--expr", "maj(x0,x1,x2)", "--bs-budget", "-1")
+    assert code == 2
+    code, _ = run_cli("analyze", "--expr", "maj(x0,x1,x2)", "--bs-budget", "0")
+    assert code == 0
+
+
 def test_analyze_capacity_exit():
     code, _ = run_cli("analyze", "--expr", "parity(21)")
     assert code == 3
@@ -257,6 +264,16 @@ def test_verify_all_passes(capsys):
     *lines, summary = out.strip().splitlines()
     assert [line.rsplit("  PASS", 1)[0].rstrip() for line in lines] == VERIFY_LABELS
     assert summary == "17/17 checks passed"
+
+
+@pytest.mark.parametrize("flag, value", [("--n-max", "1"), ("--samples", "0")])
+def test_verify_refuses_to_check_nothing(flag, value, capsys):
+    # neither draws a random table; every check would pass on nothing
+    code = cli.main(["verify", "--suite", "all", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "checks passed" not in captured.out
+    assert captured.err.startswith("error: verify needs")
 
 
 def test_verify_qsim_suite_draws_samples_tables(monkeypatch):
