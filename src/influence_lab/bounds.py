@@ -1,6 +1,12 @@
 """Closed-form query and degree lower bounds.
 
 Conventions shared by every function here:
+  - f is given by its level weights: weights[j] = A_j = sum over masks s of
+    popcount j of sums[s]^2, as FourierSpectrum.weight_profile() returns them,
+    for j = 0..n. So n = len(weights) - 1, and sum(weights) = 4^n (Parseval)
+    is the common denominator. rho_f, the k-flip probabilities and the
+    spectral bounds read these n + 1 numbers alone; only minimax_error_floor,
+    which needs the coefficients above a degree, takes the spectrum itself.
   - eps is the allowed error probability of the algorithm or polynomial.
   - Bounds that go nonpositive are clamped to 0 and flagged vacuous instead
     of raising, since large eps legitimately drains them.
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,21 +47,20 @@ def _require_eps(eps: float, upper: float = 1.0) -> None:
         raise InputError(f"error probability must be in [0, {upper}), got {eps}")
 
 
-def correlation_decay(spec: FourierSpectrum, k: int) -> Fraction:
+def correlation_decay(weights: Sequence[int], k: int) -> Fraction:
     """sum_s coeff_s^2 * (1 - 2|s|/n)^k, exactly."""
     _require_odd(k)
-    n = spec.n
-    profile = spec.weight_profile()
-    num = sum(a * (n - 2 * j) ** k for j, a in enumerate(profile))
-    return Fraction(num, (spec.denominator**2) * n**k)
+    n = len(weights) - 1
+    num = sum(a * (n - 2 * j) ** k for j, a in enumerate(weights))
+    return Fraction(num, sum(weights) * n**k)
 
 
-def flip_prob_spectral(spec: FourierSpectrum, k: int) -> Fraction:
-    """Pr[f(x) != f(x + e_{i_1} + .. + e_{i_k})] from the spectrum, exactly.
+def flip_prob_spectral(weights: Sequence[int], k: int) -> Fraction:
+    """Pr[f(x) != f(x + e_{i_1} + .. + e_{i_k})] from the level weights, exactly.
 
-    At k=1 this equals the average influence.
+    At k=1 this is the average influence rho_f = sum_j j A_j / (n 4^n).
     """
-    return (1 - correlation_decay(spec, k)) / 2
+    return (1 - correlation_decay(weights, k)) / 2
 
 
 def minimax_error_floor(spec: FourierSpectrum, d: int) -> Fraction:
@@ -85,27 +90,27 @@ def query_lb_influence(rho: float, n: int, eps: float) -> BoundValue:
     return BoundValue(max(0.0, raw), eps >= 0.25 or raw < 0)
 
 
-def query_lb_influence_k(spec: FourierSpectrum, eps: float, k: int) -> BoundValue:
+def query_lb_influence_k(weights: Sequence[int], eps: float, k: int) -> BoundValue:
     """The odd-k strengthening; at k=1 it reduces exactly to query_lb_influence."""
     _require_eps(eps)
     _require_odd(k)
     se = math.sqrt(eps)
-    decay = float(correlation_decay(spec, k))
+    decay = float(correlation_decay(weights, k))
     radicand = (1 + 2 * se) / 2 + (1 - 2 * se) / 2 * decay
     if radicand < 0:  # not reachable for eps < 1/4; guard the root anyway
         radicand = 0.0
-    raw = 0.5 * (1 - radicand ** (1 / k)) * spec.n
+    raw = 0.5 * (1 - radicand ** (1 / k)) * (len(weights) - 1)
     return BoundValue(max(0.0, raw), raw < 0)
 
 
-def query_lb_influence_best(spec: FourierSpectrum, eps: float, k_max: int = 15):
+def query_lb_influence_best(weights: Sequence[int], eps: float, k_max: int = 15):
     """Scan odd k <= k_max, return (best_k, BoundValue); ties pick the smallest k."""
     if k_max < 1:
         raise InputError("k_max must be at least 1")
     best_k = 1
-    best = query_lb_influence_k(spec, eps, 1)
+    best = query_lb_influence_k(weights, eps, 1)
     for k in range(3, k_max + 1, 2):
-        cand = query_lb_influence_k(spec, eps, k)
+        cand = query_lb_influence_k(weights, eps, k)
         if cand.value > best.value:
             best_k, best = k, cand
     return best_k, best
@@ -138,11 +143,11 @@ def degree_lb_influence(rho: float, n: int, eps: float) -> float:
     return 0.25 * (1 - 3 * eps / (1 + eps)) ** 2 * float(rho) * n
 
 
-def displacement_lower_bound(spec: FourierSpectrum, eps: float, k: int) -> float:
+def displacement_lower_bound(weights: Sequence[int], eps: float, k: int) -> float:
     """Lower bound on the mean squared state displacement under a random k-flip."""
     if eps < 0 or eps > 1:
         raise InputError(f"error probability must be in [0, 1], got {eps}")
-    return max(0.0, (2 - 4 * math.sqrt(eps)) * float(flip_prob_spectral(spec, k)))
+    return max(0.0, (2 - 4 * math.sqrt(eps)) * float(flip_prob_spectral(weights, k)))
 
 
 def displacement_upper_bound(t_queries: int, n: int, k: int) -> float:
@@ -166,24 +171,24 @@ class BoundReport:
 
 
 def bound_report(
-    spec: FourierSpectrum,
-    rho: Fraction,
+    weights: Sequence[int],
     eps: float,
     k_max: int = 15,
     block_sensitivity: int | None = None,
     approx_degree: int | None = None,
 ) -> BoundReport:
-    best_k, best = query_lb_influence_best(spec, eps, k_max)
+    n, rho = len(weights) - 1, float(flip_prob_spectral(weights, 1))
+    best_k, best = query_lb_influence_best(weights, eps, k_max)
     return BoundReport(
         eps=eps,
-        query_influence=query_lb_influence(float(rho), spec.n, eps),
+        query_influence=query_lb_influence(rho, n, eps),
         query_influence_best_k=best_k,
         query_influence_best=best,
         query_block_sensitivity=(
             None if block_sensitivity is None else query_lb_block_sensitivity(block_sensitivity)
         ),
         query_degree=None if approx_degree is None else query_lb_degree(approx_degree),
-        degree_influence=degree_lb_influence(float(rho), spec.n, eps) if eps < 0.5 else 0.0,
+        degree_influence=degree_lb_influence(rho, n, eps) if eps < 0.5 else 0.0,
         degree_block_sensitivity=(
             None if block_sensitivity is None else degree_lb_block_sensitivity(block_sensitivity)
         ),

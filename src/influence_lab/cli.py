@@ -147,9 +147,7 @@ def cmd_analyze(args) -> dict:
             if mreport.block_sensitivity is not None and mreport.block_sensitivity.exact
             else None
         )
-        breport = bounds.bound_report(
-            spec, mreport.rho, args.eps, args.kmax, bs_value, approx_d
-        )
+        breport = bounds.bound_report(spec.weight_profile(), args.eps, args.kmax, bs_value, approx_d)
     report = {
         "schema": 1,
         "input": source,
@@ -208,15 +206,17 @@ def cmd_simulate(args) -> dict:
     # an error probability of 1.
     eps_measured = 0.0 if profile.worst < 1e-9 else min(profile.worst, 1.0)
     ks = args.k or [1, 3]
-    spec = fourier.wht(table)
+    weights = fourier.wht(table).weight_profile()
     displacement = []
     for k in sorted(set(ks)):
         displacement.append(
             {
                 "k": k,
                 "value": qsim.displacement_statistic(state, k),
-                "lower_bound": bounds.displacement_lower_bound(spec, eps_measured, k),
-                "upper_bound": bounds.displacement_upper_bound(alg.queries, n, k),
+                "lower_bound": bounds.displacement_lower_bound(weights, eps_measured, k),
+                # no mask weighs more than n, and 2 - 2(1 - 2T/n)^k grows with T
+                # for odd k, so T >= n queries give the cap 4
+                "upper_bound": bounds.displacement_upper_bound(min(alg.queries, n), n, k),
             }
         )
     gap = None
@@ -228,7 +228,7 @@ def cmd_simulate(args) -> dict:
             "pairs_checked": g.pairs_checked,
             "violated": g.violated,
         }
-    rho = measures.avg_influence(table)
+    rho = bounds.flip_prob_spectral(weights, 1)
     if eps_measured < 1.0:
         influence_bound = bounds.query_lb_influence(float(rho), n, eps_measured)
     else:

@@ -112,18 +112,6 @@ def spectral_degree(spec: FourierSpectrum) -> int:
     return int(popcounts(spec.n)[nonzero].max())
 
 
-def avg_influence(spec: FourierSpectrum) -> Fraction:
-    """sum_s coeff_s^2 * (|s| / n), exactly.
-
-    Equals the combinatorial average influence of the source function; the
-    measures module computes the same quantity by counting bit flips and the
-    verify suite checks the two routes agree.
-    """
-    profile = spec.weight_profile()
-    num = sum(a * j for j, a in enumerate(profile))
-    return Fraction(num, spec.denominator * spec.denominator * spec.n)
-
-
 def _entries(spec: FourierSpectrum, masks: np.ndarray) -> list[dict]:
     den = spec.denominator
     return [
@@ -153,7 +141,6 @@ def top_entries(spec: FourierSpectrum, count: int) -> list[dict]:
 
 __all__ = [
     "FourierSpectrum",
-    "avg_influence",
     "butterfly",
     "inverse_wht",
     "nonzero_entries",

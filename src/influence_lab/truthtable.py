@@ -13,6 +13,7 @@ the test suite asserts by complementing tables.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -254,10 +255,10 @@ def read_table(path) -> TruthTable:
         raise InputError(
             f"table file {path}: bits field must be {_hex_width(n)} hex digits for n={n}"
         )
-    try:
-        packed = int(hexbits, 16)
-    except ValueError as exc:
-        raise InputError(f"table file {path}: bits field has non-hex characters") from exc
+    # int(s, 16) alone would also take a 0x prefix, a sign, _ separators, spaces and non-ASCII digits
+    if not re.fullmatch("[0-9a-fA-F]*", hexbits):
+        raise InputError(f"table file {path}: bits field has non-hex characters")
+    packed = int(hexbits, 16)
     if packed >= 1 << (1 << n):
         raise InputError(f"table file {path}: unused bits of the last nibble must be zero")
     return TruthTable(n, packed)

@@ -71,7 +71,11 @@ def _influence_mismatches(cases):
 
 def suite_measures(n_max: int, seed: int, samples: int) -> list[Check]:
     cases = [(t, fourier.wht(t)) for t in _tables(n_max, seed, samples)]
-    rho = (table_id(t) for t, spec in cases if measures.avg_influence(t) != fourier.avg_influence(spec))
+    rho = (
+        table_id(t)
+        for t, spec in cases
+        if measures.avg_influence(t) != bounds.flip_prob_spectral(spec.weight_profile(), 1)
+    )
     avg_sens = (
         table_id(t)
         for t, _ in cases
@@ -97,18 +101,18 @@ def suite_measures(n_max: int, seed: int, samples: int) -> list[Check]:
 
 
 def _flip_mismatches(cases):
-    for t, spec in cases:
+    for t, weights in cases:
         if t.n <= 6:  # k=5 brute force is n^5 2^n evaluations
             for k in (1, 3, 5):
-                if bounds.flip_prob_spectral(spec, k) != oracles.flip_prob_bruteforce(t, k):
+                if bounds.flip_prob_spectral(weights, k) != oracles.flip_prob_bruteforce(t, k):
                     yield f"{table_id(t)} k={k}"
 
 
 def _reduction_mismatches(cases):
-    for t, spec in cases:
+    for t, weights in cases:
         rho = measures.avg_influence(t)
         for eps in (0.0, 0.1, 1 / 3):
-            lhs = bounds.query_lb_influence_k(spec, eps, 1).value
+            lhs = bounds.query_lb_influence_k(weights, eps, 1).value
             rhs = bounds.query_lb_influence(float(rho), t.n, eps).value
             if abs(lhs - rhs) > 1e-12:
                 yield f"{table_id(t)} eps={eps}"
@@ -116,9 +120,9 @@ def _reduction_mismatches(cases):
 
 def _parity_mismatches(n_max: int):
     for n in range(2, n_max + 1):
-        spec = fourier.wht(builtin("parity", n))
+        weights = fourier.wht(builtin("parity", n)).weight_profile()
         for k in (1, 3, 5, 7):
-            if bounds.query_lb_influence_k(spec, 0.0, k).value != n / 2:
+            if bounds.query_lb_influence_k(weights, 0.0, k).value != n / 2:
                 yield f"n={n} k={k}"
 
 
@@ -135,7 +139,7 @@ def _floor_violations(n_max: int, seed: int, samples: int):
 
 
 def suite_bounds(n_max: int, seed: int, samples: int) -> list[Check]:
-    cases = [(t, fourier.wht(t)) for t in _tables(n_max, seed, samples)]
+    cases = [(t, fourier.wht(t).weight_profile()) for t in _tables(n_max, seed, samples)]
     return [
         _check("bounds", "spectral flip probability equals brute force", _flip_mismatches(cases)),
         _check("bounds", "k=1 bound reduces to the influence bound", _reduction_mismatches(cases)),

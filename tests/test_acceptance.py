@@ -55,7 +55,7 @@ def test_criterion_2_influence_identities(corpus):
         for tables in corpus.values():
             for t in tables:
                 rho = measures.avg_influence(t)
-                assert rho == fourier.avg_influence(fourier.wht(t))
+                assert rho == bounds.flip_prob_spectral(fourier.wht(t).weight_profile(), 1)
                 by_enum = Fraction(int(measures.sensitivity_profile(t).sum()), t.size)
                 assert measures.avg_sensitivity(t) == rho * t.n == by_enum
 
@@ -64,13 +64,13 @@ def test_criterion_3_flip_probability(corpus):
     with criterion(3, "flip probability spectral vs brute force", 60):
         for n in range(2, 7):
             for t in corpus[n]:
-                spec = fourier.wht(t)
+                weights = fourier.wht(t).weight_profile()
                 for k in (1, 3, 5):
                     # exact rational equality, stronger than the 1e-12 tolerance
-                    assert bounds.flip_prob_spectral(spec, k) == oracles.flip_prob_bruteforce(t, k)
-        parity_spec = fourier.wht(builtin("parity", 5))
+                    assert bounds.flip_prob_spectral(weights, k) == oracles.flip_prob_bruteforce(t, k)
+        parity_weights = fourier.wht(builtin("parity", 5)).weight_profile()
         for k in range(1, 16, 2):
-            assert bounds.flip_prob_spectral(parity_spec, k) == 1
+            assert bounds.flip_prob_spectral(parity_weights, k) == 1
 
 
 def test_criterion_4_iterated_family():
@@ -92,16 +92,16 @@ def test_criterion_5_bound_coherence(corpus):
     with criterion(5, "k=1 bound equals influence bound; parity n/2 at every odd k"):
         for tables in corpus.values():
             for t in tables:
-                spec = fourier.wht(t)
+                weights = fourier.wht(t).weight_profile()
                 rho = float(measures.avg_influence(t))
                 for eps in (0.0, 1 / 9, 1 / 3):
-                    general = bounds.query_lb_influence_k(spec, eps, 1).value
+                    general = bounds.query_lb_influence_k(weights, eps, 1).value
                     main = bounds.query_lb_influence(rho, t.n, eps).value
                     assert abs(general - main) <= 1e-12
         for n in range(2, 9):
-            spec = fourier.wht(builtin("parity", n))
+            weights = fourier.wht(builtin("parity", n)).weight_profile()
             for k in range(1, 16, 2):
-                assert bounds.query_lb_influence_k(spec, 0.0, k).value == n / 2
+                assert bounds.query_lb_influence_k(weights, 0.0, k).value == n / 2
 
 
 def test_criterion_6_parity_tightness():
@@ -153,13 +153,13 @@ def test_criterion_8_displacement_sandwich():
                 (parity_state, lambda f: qsim.deutsch_parity(f.n).accept, n // 2),
             ]
             for f in tables:
-                spec = fourier.wht(f)
+                weights = fourier.wht(f).weight_profile()
                 for state, accept_of, queries in runs:
                     profile = qsim.profile_state(state, accept_of(f), f)
                     eps = min(profile.worst, 1.0)
                     for k in (1, 3):
                         e_val = qsim.displacement_statistic(state, k)
-                        lower = bounds.displacement_lower_bound(spec, eps, k)
+                        lower = bounds.displacement_lower_bound(weights, eps, k)
                         upper = bounds.displacement_upper_bound(queries, n, k)
                         assert lower - 1e-9 <= e_val <= upper + 1e-9
         # the 2 - 4 sqrt(eps) separation, full pair scan at n <= 5

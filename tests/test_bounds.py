@@ -5,6 +5,7 @@ import pytest
 
 from influence_lab import fourier, measures
 from influence_lab.bounds import (
+    bound_report,
     correlation_decay,
     degree_lb_block_sensitivity,
     degree_lb_influence,
@@ -28,21 +29,35 @@ AND2 = TruthTable.from_bits([0, 0, 0, 1])
 def test_flip_prob_routes_agree(small_corpus):
     for n in (2, 3, 4, 5):
         for t in small_corpus[n][:6]:
-            spec = fourier.wht(t)
+            weights = fourier.wht(t).weight_profile()
             for k in (1, 3, 5):
-                assert flip_prob_spectral(spec, k) == flip_prob_bruteforce(t, k)
+                assert flip_prob_spectral(weights, k) == flip_prob_bruteforce(t, k)
 
 
 def test_flip_prob_parity_is_one():
-    spec = fourier.wht(builtin("parity", 4))
+    weights = fourier.wht(builtin("parity", 4)).weight_profile()
     for k in (1, 3, 5, 7, 9):
-        assert flip_prob_spectral(spec, k) == 1
+        assert flip_prob_spectral(weights, k) == 1
     assert flip_prob_bruteforce(builtin("parity", 4), 3) == 1
 
 
 def test_flip_prob_k1_is_avg_influence(small_corpus):
-    for t in small_corpus[4][:8]:
-        assert flip_prob_spectral(fourier.wht(t), 1) == measures.avg_influence(t)
+    # the spectral rho every bound reads equals the counting rho of measures
+    for tables in small_corpus.values():
+        for t in tables:
+            assert flip_prob_spectral(fourier.wht(t).weight_profile(), 1) == measures.avg_influence(t)
+
+
+def test_flip_prob_k1_values():
+    assert flip_prob_spectral(fourier.wht(builtin("parity", 5)).weight_profile(), 1) == 1
+    assert flip_prob_spectral(fourier.wht(AND2).weight_profile(), 1) == Fraction(1, 2)
+    assert flip_prob_spectral(fourier.wht(TruthTable(4, 0)).weight_profile(), 1) == 0
+
+
+def test_flip_prob_k1_is_dyadic():
+    rho = flip_prob_spectral(fourier.wht(random_table(5, 31)).weight_profile(), 1)
+    # rho * n has a power-of-two denominator
+    assert (rho * 5).denominator & ((rho * 5).denominator - 1) == 0
 
 
 def test_flip_prob_and2():
@@ -50,16 +65,16 @@ def test_flip_prob_and2():
 
 
 def test_flip_prob_constant_zero():
-    spec = fourier.wht(TruthTable(4, 0))
+    weights = fourier.wht(TruthTable(4, 0)).weight_profile()
     for k in (1, 3):
-        assert flip_prob_spectral(spec, k) == 0
+        assert flip_prob_spectral(weights, k) == 0
 
 
 def test_flip_prob_rejects_even_k():
-    spec = fourier.wht(AND2)
+    weights = fourier.wht(AND2).weight_profile()
     for k in (0, 2, -1, 4):
         with pytest.raises(InputError):
-            flip_prob_spectral(spec, k)
+            flip_prob_spectral(weights, k)
         with pytest.raises(InputError):
             flip_prob_bruteforce(AND2, k)
 
@@ -94,35 +109,35 @@ def test_query_lb_monotone_in_eps():
 
 def test_query_lb_k1_reduces_to_influence_bound(small_corpus):
     for t in small_corpus[5][:8]:
-        spec = fourier.wht(t)
+        weights = fourier.wht(t).weight_profile()
         rho = float(measures.avg_influence(t))
         for eps in (0.0, 0.04, 1 / 3, 0.6):
-            assert query_lb_influence_k(spec, eps, 1).value == pytest.approx(
+            assert query_lb_influence_k(weights, eps, 1).value == pytest.approx(
                 query_lb_influence(rho, t.n, eps).value, abs=1e-12
             )
 
 
 def test_query_lb_k_parity_exact():
     for n in (2, 5, 8):
-        spec = fourier.wht(builtin("parity", n))
+        weights = fourier.wht(builtin("parity", n)).weight_profile()
         for k in range(1, 16, 2):
-            assert query_lb_influence_k(spec, 0.0, k).value == n / 2
+            assert query_lb_influence_k(weights, 0.0, k).value == n / 2
 
 
 def test_query_lb_k_constant():
-    spec = fourier.wht(TruthTable(4, 0))
-    assert query_lb_influence_k(spec, 0.0, 3).value == 0.0
+    weights = fourier.wht(TruthTable(4, 0)).weight_profile()
+    assert query_lb_influence_k(weights, 0.0, 3).value == 0.0
 
 
 def test_query_lb_k_rejects_even():
-    spec = fourier.wht(AND2)
+    weights = fourier.wht(AND2).weight_profile()
     with pytest.raises(InputError):
-        query_lb_influence_k(spec, 0.0, 2)
+        query_lb_influence_k(weights, 0.0, 2)
 
 
 def test_query_lb_best_picks_smallest_tie():
-    spec = fourier.wht(builtin("parity", 4))
-    k_star, best = query_lb_influence_best(spec, 0.0, 15)
+    weights = fourier.wht(builtin("parity", 4)).weight_profile()
+    k_star, best = query_lb_influence_best(weights, 0.0, 15)
     assert k_star == 1
     assert best.value == 2.0
 
@@ -150,13 +165,13 @@ def test_degree_lb_influence_values():
 
 
 def test_displacement_bounds_shapes():
-    spec = fourier.wht(builtin("parity", 4))
-    assert displacement_lower_bound(spec, 0.25, 1) == 0.0  # 2 - 4 sqrt(1/4) = 0
-    assert displacement_lower_bound(spec, 1.0, 1) == 0.0  # clamped when negative
+    weights = fourier.wht(builtin("parity", 4)).weight_profile()
+    assert displacement_lower_bound(weights, 0.25, 1) == 0.0  # 2 - 4 sqrt(1/4) = 0
+    assert displacement_lower_bound(weights, 1.0, 1) == 0.0  # clamped when negative
     assert displacement_upper_bound(4, 4, 3) == 4.0  # (-1)^3
     assert displacement_upper_bound(2, 4, 1) == 2.0  # zero base
     with pytest.raises(InputError):
-        displacement_lower_bound(spec, 1.5, 1)
+        displacement_lower_bound(weights, 1.5, 1)
     with pytest.raises(InputError):
         displacement_upper_bound(5, 4, 1)
     with pytest.raises(InputError):
@@ -167,8 +182,21 @@ def test_correlation_decay_parseval_link():
     # at k=1 the decay is 1 - 2 rho, an exact identity through Parseval
     for seed in range(5):
         t = random_table(4, 700 + seed)
-        spec = fourier.wht(t)
-        assert correlation_decay(spec, 1) == 1 - 2 * measures.avg_influence(t)
+        weights = fourier.wht(t).weight_profile()
+        assert correlation_decay(weights, 1) == 1 - 2 * measures.avg_influence(t)
+
+
+def test_bound_report_reads_the_counting_rho(small_corpus):
+    # bound_report takes rho off the level weights; every reported value is the
+    # one the counting rho of measures gives
+    for tables in small_corpus.values():
+        for t in tables:
+            weights = fourier.wht(t).weight_profile()
+            rho = float(measures.avg_influence(t))
+            for eps in (0.0, 0.1, 1 / 3, 0.6):
+                report = bound_report(weights, eps)
+                assert report.query_influence == query_lb_influence(rho, t.n, eps)
+                assert report.degree_influence == (degree_lb_influence(rho, t.n, eps) if eps < 0.5 else 0.0)
 
 
 def test_minimax_error_floor_known_values(small_corpus):

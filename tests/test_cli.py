@@ -190,6 +190,18 @@ def test_simulate_grover():
         assert errors[1 << i] < 1e-9
 
 
+def test_simulate_more_queries_than_variables():
+    # 3 Grover iterations on 3 variables make 4 queries; the displacement cap is then 4
+    report = run_json(
+        "simulate", "--algorithm", "grover", "--n", "3", "--iterations", "3", "--k", "1", "--k", "3"
+    )
+    assert report["queries"] == 4
+    assert [entry["k"] for entry in report["displacement"]] == [1, 3]
+    for entry in report["displacement"]:
+        assert entry["upper_bound"] == 4.0
+        assert entry["value"] <= entry["upper_bound"]
+
+
 def test_simulate_usage(tmp_path):
     path = tmp_path / "f.json"
     write_table(builtin("parity", 4), path)

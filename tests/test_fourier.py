@@ -8,7 +8,6 @@ from influence_lab import cli, fourier, oracles
 from influence_lab.errors import ConsistencyError
 from influence_lab.fourier import (
     FourierSpectrum,
-    avg_influence,
     butterfly,
     inverse_wht,
     nonzero_entries,
@@ -118,19 +117,6 @@ def test_spectral_degree_families():
 def test_spectral_degree_complement_invariant(small_corpus):
     for t in small_corpus[4]:
         assert spectral_degree(wht(t)) == spectral_degree(wht(complement(t)))
-
-
-def test_avg_influence_values():
-    assert avg_influence(wht(builtin("parity", 5))) == 1
-    assert avg_influence(wht(TruthTable.from_bits([0, 0, 0, 1]))) == Fraction(1, 2)
-    assert avg_influence(wht(TruthTable(4, 0))) == 0
-
-
-def test_avg_influence_is_dyadic():
-    t = random_table(5, 31)
-    rho = avg_influence(wht(t))
-    num, den = rho.numerator, rho.denominator * 5  # rho * n has a power-of-two denominator
-    assert (rho * 5).denominator & ((rho * 5).denominator - 1) == 0
 
 
 def test_export_skips_zeros():

@@ -40,12 +40,6 @@ def test_influence_families():
         influence(AND2, 2)
 
 
-def test_avg_influence_equals_spectral(small_corpus):
-    for tables in small_corpus.values():
-        for t in tables:
-            assert avg_influence(t) == fourier.avg_influence(fourier.wht(t))
-
-
 def test_avg_sensitivity_equals_definition(small_corpus):
     for tables in small_corpus.values():
         for t in tables:

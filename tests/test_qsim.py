@@ -379,10 +379,10 @@ def test_displacement_sandwich_on_runs():
         alg = serial_read(t)
         state = run(alg)
         prof = profile_state(state, alg.accept, t)
-        spec = fourier.wht(t)
+        weights = fourier.wht(t).weight_profile()
         for k in (1, 3):
             e_val = displacement_statistic(state, k)
-            lo = bounds.displacement_lower_bound(spec, prof.worst, k)
+            lo = bounds.displacement_lower_bound(weights, prof.worst, k)
             hi = bounds.displacement_upper_bound(alg.queries, n, k)
             assert lo - 1e-9 <= e_val <= hi + 1e-9
 

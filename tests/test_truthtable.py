@@ -250,6 +250,12 @@ def test_serialization_errors(tmp_path):
         '{"version":2,"n":2,"bits":"8"}',  # wrong version
         '{"version":1,"n":1,"bits":"8"}',  # trailing bits of last nibble set
         "not json at all",
+        # int(s, 16) takes each of these; only ASCII hex digits are admitted
+        '{"version":1,"n":4,"bits":"0x1f"}',
+        '{"version":1,"n":4,"bits":" 1ff"}',
+        '{"version":1,"n":4,"bits":"+1ff"}',
+        '{"version":1,"n":4,"bits":"1_ff"}',
+        '{"version":1,"n":4,"bits":"\\u0663\\u0663\\u0663\\u0663"}',  # Arabic-Indic digits
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
