@@ -40,6 +40,15 @@ def test_influence_families():
         influence(AND2, 2)
 
 
+def test_avg_influence_equals_spectral(small_corpus):
+    # sum_s coeff_s^2 * |s| / n, read off the level weights A_j = den^2 * W_j
+    for tables in small_corpus.values():
+        for t in tables:
+            spec = fourier.wht(t)
+            num = sum(a * j for j, a in enumerate(spec.weight_profile()))
+            assert avg_influence(t) == Fraction(num, spec.denominator**2 * t.n)
+
+
 def test_avg_sensitivity_equals_definition(small_corpus):
     for tables in small_corpus.values():
         for t in tables:
