@@ -5,8 +5,9 @@ Conventions shared by every function here:
     popcount j of sums[s]^2, as FourierSpectrum.weight_profile() returns them,
     for j = 0..n. So n = len(weights) - 1, and sum(weights) = 4^n (Parseval)
     is the common denominator. rho_f, the k-flip probabilities and the
-    spectral bounds read these n + 1 numbers alone; only minimax_error_floor,
-    which needs the coefficients above a degree, takes the spectrum itself.
+    spectral bounds read these n + 1 numbers alone; query_lb_influence and
+    degree_lb_influence take rho_f and n, the other closed forms scalars, and
+    minimax_error_floor, needing the coefficients above a degree, the spectrum.
   - eps is the allowed error probability of the algorithm or polynomial.
   - Bounds that go nonpositive are clamped to 0 and flagged vacuous instead
     of raising, since large eps legitimately drains them.
@@ -96,11 +97,10 @@ def query_lb_influence_k(weights: Sequence[int], eps: float, k: int) -> BoundVal
     _require_odd(k)
     se = math.sqrt(eps)
     decay = float(correlation_decay(weights, k))
+    # >= 0 for every eps >= 0, since |decay| <= 1; >= 1, so raw <= 0, once eps >= 1/4
     radicand = (1 + 2 * se) / 2 + (1 - 2 * se) / 2 * decay
-    if radicand < 0:  # not reachable for eps < 1/4; guard the root anyway
-        radicand = 0.0
     raw = 0.5 * (1 - radicand ** (1 / k)) * (len(weights) - 1)
-    return BoundValue(max(0.0, raw), raw < 0)
+    return BoundValue(max(0.0, raw), eps >= 0.25 or raw < 0)
 
 
 def query_lb_influence_best(weights: Sequence[int], eps: float, k_max: int = 15):

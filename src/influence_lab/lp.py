@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CapacityError, SolverError
+from .errors import CapacityError, InputError, SolverError
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -139,7 +139,7 @@ def minimax_fit_exact(table, degree: int):
     if n > 6:
         raise CapacityError("exact minimax fit is a reference solver, capped at n=6")
     if not 0 <= degree <= n:
-        raise SolverError(f"degree must be in 0..{n}")
+        raise InputError(f"degree must be in 0..{n}, got {degree}")
     masks = [s for s in range(1 << n) if bin(s).count("1") <= degree]
     k = len(masks)
     size = 1 << n

@@ -23,7 +23,8 @@ no scan order can move it.
 Only one input per orbit is scanned. Exchanging two interchangeable variables
 (symmetry_classes) maps sensitive blocks at x to sensitive blocks at the image
 of x, so bs is the same across an orbit, and the orbit's smallest index, whose
-ones fill the lowest-indexed members of each class, stands for it.
+ones fill the lowest-indexed members of each class, stands for it. The minima
+are built from the classes, and sensitive coordinates are found at them alone.
 """
 
 from __future__ import annotations
@@ -123,19 +124,6 @@ def max_sensitivity(t: TruthTable) -> MaxSensitivity:
     return MaxSensitivity(int(profile[witness]), witness)
 
 
-def sensitive_coordinate_masks(t: TruthTable) -> np.ndarray:
-    """int64 array: entry x is the bitmask of coordinates sensitive at x."""
-    bits = t.bits()
-    masks = np.zeros(t.size, dtype=np.int64)
-    for i in range(t.n):
-        view = bits.reshape(-1, 2, 1 << i)
-        diff = (view[:, 0, :] != view[:, 1, :]).astype(np.int64) << i
-        mview = masks.reshape(-1, 2, 1 << i)
-        mview[:, 0, :] |= diff
-        mview[:, 1, :] |= diff
-    return masks
-
-
 def _pair_view(a: np.ndarray, i: int, j: int) -> np.ndarray:
     """A full-table array indexed as [higher bits, x_j, bits between, x_i, lower bits], i < j."""
     return a.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
@@ -164,17 +152,27 @@ def symmetry_classes(t: TruthTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in classes)
 
 
-def _orbit_minima(classes: tuple[tuple[int, ...], ...], size: int) -> np.ndarray:
+def _orbit_minima(classes: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Ascending inputs whose ones fill, in every class, its lowest-indexed members.
 
     Those are the smallest indices of the orbits under exchanges within classes,
-    one per orbit: prod(|C| + 1) of them.
+    one per orbit: the OR of one prefix of each class, prod(|C| + 1) of them.
     """
-    keep = np.ones(size, dtype=bool)
+    minima = np.zeros(1, dtype=np.int64)
     for c in classes:
-        for lo, hi in zip(c, c[1:]):
-            _pair_view(keep, lo, hi)[:, 1, :, 0, :] = False  # x_hi = 1 above x_lo = 0
-    return np.flatnonzero(keep)
+        prefixes = np.cumsum([0] + [1 << v for v in c], dtype=np.int64)
+        minima = (minima[:, None] | prefixes[None, :]).ravel()
+    return np.sort(minima)
+
+
+def _sensitive_masks(t: TruthTable, xs: np.ndarray) -> np.ndarray:
+    """int64 array: entry j is the bitmask of coordinates sensitive at input xs[j]."""
+    bits = t.bits()
+    fx = bits[xs]
+    masks = np.zeros(xs.size, dtype=np.int64)
+    for i in range(t.n):
+        masks |= (bits[xs ^ (1 << i)] != fx).astype(np.int64) << i
+    return masks
 
 
 def _spread_table(free_coords: tuple[int, ...]) -> np.ndarray:
@@ -307,16 +305,16 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     bits = t.bits()
     n = t.n
-    coord_masks = sensitive_coordinate_masks(t)
     # bs_x is the same at every input of an orbit under exchanges of
     # interchangeable variables, and an orbit's minimum is its smallest index,
     # so scanning the minima alone keeps the value and the witness
-    reps = _orbit_minima(symmetry_classes(t), t.size)
+    reps = _orbit_minima(symmetry_classes(t))
+    rep_masks = _sensitive_masks(t, reps)
     # one sort: most sensitive coordinates first, the inputs sharing a mask
     # contiguous, indices ascending within each mask (lexsort is stable)
-    rep_masks = coord_masks[reps]
-    order = reps[np.lexsort((rep_masks, -np.bitwise_count(rep_masks).astype(np.int64)))]
-    starts = np.flatnonzero(np.diff(coord_masks[order], prepend=-1)).tolist()
+    by = np.lexsort((rep_masks, -np.bitwise_count(rep_masks).astype(np.int64)))
+    order, coord_masks = reps[by], rep_masks[by]
+    starts = np.flatnonzero(np.diff(coord_masks, prepend=-1)).tolist()
     # many inputs share the same candidate blocks; each distinct packing is solved once
     pack_cache: dict[tuple[tuple[int, ...], int], tuple[int, tuple[int, ...]]] = {}
     best = -1
@@ -324,7 +322,7 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
     best_blocks: tuple[int, ...] = ()
     scanned = 0
     for lo, hi in zip(starts, starts[1:] + [order.size]):
-        coord_mask = int(coord_masks[order[lo]])
+        coord_mask = int(coord_masks[lo])
         free = tuple(i for i in range(n) if not (coord_mask >> i) & 1)
         free_count = len(free)
         s_count = n - free_count
@@ -405,6 +403,5 @@ __all__ = [
     "measure_report",
     "sensitivity_at",
     "sensitivity_profile",
-    "sensitive_coordinate_masks",
     "symmetry_classes",
 ]

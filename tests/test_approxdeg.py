@@ -96,6 +96,13 @@ def test_exact_minimax_or2():
     assert t2 == 0
 
 
+def test_exact_minimax_degree_out_of_range():
+    # a usage error (exit 2), as every other degree check raises, not a solver failure
+    for d in (-1, 3):
+        with pytest.raises(InputError, match=f"degree must be in 0..2, got {d}"):
+            minimax_fit_exact(OR2, d)
+
+
 def test_exact_minimax_parity2():
     t_star, _ = minimax_fit_exact(builtin("parity", 2), 1)
     assert t_star == Fraction(1, 2)

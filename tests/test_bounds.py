@@ -129,6 +129,18 @@ def test_query_lb_k_constant():
     assert query_lb_influence_k(weights, 0.0, 3).value == 0.0
 
 
+def test_influence_bounds_agree_on_vacuity(small_corpus):
+    # both forms are 0 at eps >= 1/4, so both must flag it
+    tables = [t for ts in small_corpus.values() for t in ts] + [TruthTable(4, 0)]
+    for t in tables:
+        weights = fourier.wht(t).weight_profile()
+        rho = float(measures.avg_influence(t))
+        for eps in (0.0, 0.1, 0.25, 1 / 3, 0.6):
+            direct = query_lb_influence(rho, t.n, eps)
+            assert query_lb_influence_k(weights, eps, 1).vacuous == direct.vacuous, (str(t), eps)
+            assert query_lb_influence_best(weights, eps)[1].vacuous == direct.vacuous
+
+
 def test_query_lb_k_rejects_even():
     weights = fourier.wht(AND2).weight_profile()
     with pytest.raises(InputError):

@@ -205,6 +205,18 @@ def _candidates_by_definition(t, x, free):
     ]
 
 
+def test_sensitive_masks_match_definition(small_corpus):
+    for tables in small_corpus.values():
+        for t in tables:
+            masks = measures._sensitive_masks(t, np.arange(t.size))
+            expected = [
+                sum(1 << i for i in range(t.n) if t.bit_at(x ^ (1 << i)) != t.bit_at(x))
+                for x in range(t.size)
+            ]
+            assert masks.tolist() == expected
+            assert np.array_equal(np.bitwise_count(masks), sensitivity_profile(t))
+
+
 def test_batched_candidates_match_definition():
     # one batch per sensitive-coordinate mask, mixing inputs whose subcubes are
     # constant (no candidates) with inputs whose subcubes are not
@@ -212,7 +224,7 @@ def test_batched_candidates_match_definition():
     tables += [dsl.elaborate(e) for e in ("compose(and(2),or(3))", "compose(or(2),maj(3))")]
     tables.append(TruthTable(6, int("30fc33ff300c33ff", 16)))
     for t in tables:
-        masks = measures.sensitive_coordinate_masks(t)
+        masks = measures._sensitive_masks(t, np.arange(t.size))
         for coord_mask in np.unique(masks).tolist():
             free = tuple(i for i in range(t.n) if not (coord_mask >> i) & 1)
             xs = np.flatnonzero(masks == coord_mask)
@@ -273,7 +285,7 @@ def test_orbit_scan_matches_every_input(expr):
     # the max over every input and the smallest input attaining it
     t = _relabeled(dsl.elaborate(expr), 7)
     classes = measures.symmetry_classes(t)
-    minima = measures._orbit_minima(classes, t.size)
+    minima = measures._orbit_minima(classes)
     assert minima.tolist() == sorted({_orbit_minimum(x, classes) for x in range(t.size)})
     assert minima.size == np.prod([len(c) + 1 for c in classes])
     by_input = [block_sensitivity_at(t, x)[0] for x in range(t.size)]
@@ -295,6 +307,21 @@ def test_block_sensitivity_scans_orbit_minima_only(expr, value, orbits):
     result = block_sensitivity(dsl.elaborate(expr))
     assert (result.value, result.exact) == (value, True)
     assert result.inputs_scanned <= orbits
+
+
+def test_block_sensitivity_masks_orbit_minima_only(monkeypatch):
+    # the sensitive-coordinate masks are computed for the 6 * 6 * 6 orbit
+    # minima alone, not for all 2^15 inputs
+    sizes = []
+    masks = measures._sensitive_masks
+
+    def recording(t, xs):
+        sizes.append(xs.size)
+        return masks(t, xs)
+
+    monkeypatch.setattr(measures, "_sensitive_masks", recording)
+    assert block_sensitivity(dsl.elaborate("compose(maj(3),maj(5))")).value == 6
+    assert sum(sizes) == 216
 
 
 def test_block_sensitivity_budget_flags_partial():

@@ -1,0 +1,14 @@
+"""README's Python API example runs as written."""
+
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _python_api_block() -> str:
+    section = README.read_text().split("\n## Python API\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_python_api_example_runs():
+    exec(compile(_python_api_block(), "README.md", "exec"), {})
