@@ -5,13 +5,23 @@ table, sums[s] = sum_x f(x) * (-1)^(s.x), so the actual coefficient is
 sums[s] / 2^n. Keeping the integers exact makes the nonzero test, Parseval,
 and every dyadic-rational identity downstream exact as well; division by 2^n
 happens only at presentation time.
+
+The transform reads the packed table, not an unpacked sign array. Each byte
+holds 8 consecutive outputs, whose 3-variable transform is one row of a
+256 x 8 seed table built once, at first use, by the butterfly itself; the
+table's bytes gather their rows into a (2^(n-3), 8) array, and the remaining
+n - 3 stages run on it with the 8-wide axis carried along. Tables with n < 3
+fill only part of one byte and use the seed table of 2^n-entry transforms.
+The stages run in int32, which is exact: a correlation sum over 2^n signs
+has magnitude at most 2^n <= 2^20, at every stage. One cast to int64 at the
+end keeps the spectrum's dtype.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -86,9 +96,23 @@ def butterfly(values: np.ndarray, dtype=np.int64) -> np.ndarray:
     return _butterfly_in_place(np.array(values, dtype=dtype, order="C"))
 
 
+@cache
+def _byte_seed(m: int) -> np.ndarray:
+    """Row b: the transform of the signs of the 2^m bits of b (LSB first), int32, read-only."""
+    rows = np.arange(1 << (1 << m))
+    bits = (rows[None, :] >> np.arange(1 << m)[:, None]) & 1
+    seed = np.ascontiguousarray(butterfly(1 - 2 * bits, np.int32).T)
+    seed.flags.writeable = False
+    return seed
+
+
 def wht(t: TruthTable) -> FourierSpectrum:
     """Exact spectrum of the sign view, O(n 2^n) integer additions."""
-    sums = _butterfly_in_place(t.signs())  # signs() is a fresh int64 array
+    raw = np.frombuffer(t.packed.to_bytes(max(1, t.size >> 3), "little"), dtype=np.uint8)
+    # row y, column s: the transform over the low min(n, 3) variables of the
+    # outputs in byte y, at mask s; then the stages over y, so (y, s) is mask 8y + s
+    low = _butterfly_in_place(_byte_seed(min(t.n, 3))[raw])
+    sums = low.reshape(-1).astype(np.int64)
     sums.flags.writeable = False
     return FourierSpectrum(t.n, sums)
 

@@ -4,6 +4,19 @@ All probability-flavored quantities are returned as exact dyadic rationals
 (Fraction with a 2^n denominator) so that identities against the spectral
 route can be asserted with equality, not tolerance.
 
+Influences and the maximum sensitivity read the packed table as uint64 words,
+64 inputs each. For every variable i one array of flip words marks the inputs
+x with f(x) != f(x ^ e_i): for i < 6 partner inputs share a word, so the flips
+are (w ^ (w >> 2^i)) restricted to the inputs with x_i = 0 and copied back up
+by << 2^i; for i >= 6 they are the XOR of the two word halves that x_i picks.
+An influence is the popcount of its flip words over 2^n. For the maximum, the
+flip words are added into bit-sliced counters, plane k holding bit k of every
+input's sensitivity: n.bit_length() planes, at most 5 since n <= 20 < 32. The
+maximum is read from the top plane down, keeping at each plane the inputs that
+have that bit set if any do; the witness is the lowest input left, the
+smallest index with the maximum, as an argmax over the unpacked profile gives.
+That profile is the reference, in oracles.
+
 Block sensitivity is exact: candidate blocks are cut down to the ones with
 no sensitive single-removal subset, then packed by branch and bound. Every
 truly minimal sensitive block passes that local test and every candidate is
@@ -32,7 +45,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -77,17 +90,37 @@ class MeasureReport:
     bs_skipped_reason: str | None
 
 
+# _LOW[i]: the bits of a 64-input word whose index has x_i = 0, for i < 6
+_LOW = tuple(np.uint64(m) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF,
+))
+
+
+def _flip_words(t: TruthTable) -> Iterator[np.ndarray]:
+    """For each variable i in turn, words whose set bits are the inputs x with f(x) != f(x ^ e_i)."""
+    # input 64j + b is bit b of word j; for n < 6 one word, zero above 2^n
+    w = np.frombuffer(t.packed.to_bytes(max(8, t.size >> 3), "little"), dtype="<u8")
+    for i in range(min(t.n, 6)):
+        shift = np.uint64(1 << i)
+        low = (w ^ (w >> shift)) & _LOW[i]
+        yield low | (low << shift)
+    for i in range(6, t.n):
+        # x_i is bit i - 6 of the word index: it picks a half of each 2^(i-5) words
+        halves = w.reshape(-1, 2, 1 << (i - 6))
+        diff = halves[:, 0] ^ halves[:, 1]
+        yield np.stack((diff, diff), axis=1).reshape(-1)
+
+
 def influence(t: TruthTable, i: int) -> Fraction:
     """Probability over uniform x that flipping bit i changes f(x)."""
     if not 0 <= i < t.n:
         raise InputError(f"variable index {i} out of range for n={t.n}")
-    view = t.bits().reshape(-1, 2, 1 << i)
-    pairs = int(np.count_nonzero(view[:, 0, :] != view[:, 1, :]))
-    return Fraction(2 * pairs, t.size)
+    return influences(t)[i]
 
 
 def influences(t: TruthTable) -> tuple[Fraction, ...]:
-    return tuple(influence(t, i) for i in range(t.n))
+    return tuple(Fraction(int(np.bitwise_count(flips).sum()), t.size) for flips in _flip_words(t))
 
 
 def avg_influence(t: TruthTable) -> Fraction:
@@ -99,29 +132,29 @@ def avg_sensitivity(t: TruthTable) -> Fraction:
     return sum(influences(t), Fraction(0))
 
 
-def sensitivity_profile(t: TruthTable) -> np.ndarray:
-    """uint8 array: entry x is the number of sensitive coordinates at x, at most n <= 20."""
-    bits = t.bits()
-    sens = np.zeros(t.size, dtype=np.uint8)
-    for i in range(t.n):
-        view = bits.reshape(-1, 2, 1 << i)
-        diff = view[:, 0, :] != view[:, 1, :]
-        sview = sens.reshape(-1, 2, 1 << i)
-        sview[:, 0, :] += diff
-        sview[:, 1, :] += diff
-    return sens
-
-
-def sensitivity_at(t: TruthTable, x) -> int:
-    idx = t.index_of(x)
-    fx = t.bit_at(idx)
-    return sum(1 for i in range(t.n) if t.bit_at(idx ^ (1 << i)) != fx)
-
-
 def max_sensitivity(t: TruthTable) -> MaxSensitivity:
-    profile = sensitivity_profile(t)
-    witness = int(np.argmax(profile))
-    return MaxSensitivity(int(profile[witness]), witness)
+    """The most sensitive coordinates at any input, and the smallest input with that many.
+
+    The flip words are summed into bit-sliced counters, a ripple-carry add
+    per variable; plane k holds bit k of every input's sensitivity.
+    """
+    planes = [np.zeros(max(1, t.size >> 6), dtype=np.uint64) for _ in range(t.n.bit_length())]
+    for carry in _flip_words(t):
+        for plane in planes:
+            spill = plane & carry
+            plane ^= carry
+            carry = spill
+    # narrow to the inputs holding the largest count, one bit from the top plane
+    # down; for n < 6 only the low 2^n bits of the one word are inputs
+    live = np.full_like(planes[0], (1 << min(t.size, 64)) - 1)
+    value = 0
+    for k in reversed(range(len(planes))):
+        top = live & planes[k]
+        if top.any():
+            live, value = top, value | (1 << k)
+    j = int(np.flatnonzero(live)[0])
+    word = int(live[j])
+    return MaxSensitivity(value, 64 * j + (word & -word).bit_length() - 1)
 
 
 def _pair_view(a: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -401,7 +434,5 @@ __all__ = [
     "influences",
     "max_sensitivity",
     "measure_report",
-    "sensitivity_at",
-    "sensitivity_profile",
     "symmetry_classes",
 ]

@@ -57,6 +57,29 @@ def wht_direct(t: TruthTable) -> np.ndarray:
     return chars @ t.signs()
 
 
+def sensitivity_profile(t: TruthTable) -> np.ndarray:
+    """uint8 array: entry x is the number of sensitive coordinates at x, one unpacked pass per variable.
+
+    The reference for measures.influences and measures.max_sensitivity.
+    """
+    bits = t.bits()
+    sens = np.zeros(t.size, dtype=np.uint8)
+    for i in range(t.n):
+        view = bits.reshape(-1, 2, 1 << i)
+        diff = view[:, 0, :] != view[:, 1, :]
+        sview = sens.reshape(-1, 2, 1 << i)
+        sview[:, 0, :] += diff
+        sview[:, 1, :] += diff
+    return sens
+
+
+def sensitivity_at(t: TruthTable, x) -> int:
+    """Sensitive coordinates at one input, by n single-bit lookups."""
+    idx = t.index_of(x)
+    fx = t.bit_at(idx)
+    return sum(1 for i in range(t.n) if t.bit_at(idx ^ (1 << i)) != fx)
+
+
 def block_sensitivity_naive_at(t: TruthTable, x: int) -> int:
     """Max packing over ALL sensitive blocks by memoized exhaustive search."""
     if t.n > 6:
@@ -177,6 +200,8 @@ __all__ = [
     "displacement_direct",
     "flip_prob_bruteforce",
     "gap_check_direct",
+    "sensitivity_at",
+    "sensitivity_profile",
     "symmetry_classes_naive",
     "tabulate",
     "wht_direct",

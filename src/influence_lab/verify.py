@@ -69,6 +69,12 @@ def _influence_mismatches(cases):
                 yield f"{table_id(t)} variable {i}"
 
 
+def _max_sensitivity_matches(t) -> bool:
+    """Value is the profile's maximum, witness its smallest argmax."""
+    profile = oracles.sensitivity_profile(t)
+    return measures.max_sensitivity(t) == (int(profile.max()), int(np.argmax(profile)))
+
+
 def suite_measures(n_max: int, seed: int, samples: int) -> list[Check]:
     cases = [(t, fourier.wht(t)) for t in _tables(n_max, seed, samples)]
     rho = (
@@ -79,8 +85,9 @@ def suite_measures(n_max: int, seed: int, samples: int) -> list[Check]:
     avg_sens = (
         table_id(t)
         for t, _ in cases
-        if Fraction(int(measures.sensitivity_profile(t).sum()), t.size) != measures.avg_sensitivity(t)
+        if Fraction(int(oracles.sensitivity_profile(t).sum()), t.size) != measures.avg_sensitivity(t)
     )
+    max_sens = (table_id(t) for t, _ in cases if t.n <= 8 and not _max_sensitivity_matches(t))
     bs = (
         table_id(t)
         for t, _ in cases
@@ -95,6 +102,7 @@ def suite_measures(n_max: int, seed: int, samples: int) -> list[Check]:
         _check("measures", "counting influence equals spectral influence", rho),
         _check("measures", "average sensitivity equals rho * n", avg_sens),
         _check("measures", "per-variable influence matches squared-mass identity", _influence_mismatches(cases)),
+        _check("measures", "max sensitivity and its witness match the unpacked profile", max_sens),
         _check("measures", "block sensitivity matches naive packing", bs),
         _check("measures", "symmetry classes match the brute-force transposition search", symmetry),
     ]

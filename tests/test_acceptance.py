@@ -56,7 +56,7 @@ def test_criterion_2_influence_identities(corpus):
             for t in tables:
                 rho = measures.avg_influence(t)
                 assert rho == bounds.flip_prob_spectral(fourier.wht(t).weight_profile(), 1)
-                by_enum = Fraction(int(measures.sensitivity_profile(t).sum()), t.size)
+                by_enum = Fraction(int(oracles.sensitivity_profile(t).sum()), t.size)
                 assert measures.avg_sensitivity(t) == rho * t.n == by_enum
 
 

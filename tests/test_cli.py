@@ -257,6 +257,7 @@ VERIFY_LABELS = [
     "measures: counting influence equals spectral influence",
     "measures: average sensitivity equals rho * n",
     "measures: per-variable influence matches squared-mass identity",
+    "measures: max sensitivity and its witness match the unpacked profile",
     "measures: block sensitivity matches naive packing",
     "measures: symmetry classes match the brute-force transposition search",
     "bounds: spectral flip probability equals brute force",
@@ -277,7 +278,7 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
     *lines, summary = out.strip().splitlines()
     assert [line.rsplit("  PASS", 1)[0].rstrip() for line in lines] == VERIFY_LABELS
-    assert summary == "17/17 checks passed"
+    assert summary == "18/18 checks passed"
 
 
 @pytest.mark.parametrize("flag, value", [("--n-max", "1"), ("--samples", "0")])

@@ -42,9 +42,21 @@ def test_constant_spectrum():
 
 
 def test_wht_matches_direct_oracle(small_corpus):
-    for tables in small_corpus.values():
-        for t in tables:
-            assert np.array_equal(wht(t).sums, oracles.wht_direct(t))
+    # every n up to the oracle's cap: n < 3 uses the smaller seed tables
+    tables = [t for ts in small_corpus.values() for t in ts]
+    tables += [random_table(n, 40 + n) for n in range(1, 11)]
+    tables += [builtin("parity", n) for n in range(1, 11)] + [TruthTable(n, 0) for n in range(1, 11)]
+    for t in tables:
+        assert np.array_equal(wht(t).sums, oracles.wht_direct(t)), str(t)
+
+
+@pytest.mark.parametrize("name", ["random", "parity"])
+def test_wht_at_the_cap_matches_unpacked_butterfly(name):
+    t = random_table(20, 5) if name == "random" else builtin("parity", 20)
+    spec = wht(t)
+    assert spec.sums.dtype == np.int64
+    assert not spec.sums.flags.writeable
+    assert np.array_equal(spec.sums, butterfly(t.signs()))
 
 
 def _butterfly_stage_copies(values, dtype):
@@ -76,10 +88,9 @@ def test_butterfly_matches_stage_copies_bit_for_bit():
 
 
 def test_wht_holds_no_second_full_copy():
-    # signs() is transformed where it is: the spectrum and a half-size scratch,
-    # after signs() itself briefly holds two full-size arrays
+    # the int32 stages hold half the spectrum's bytes and a quarter-size
+    # scratch; the int64 cast then sits beside the int32 result
     t = random_table(16, 3)
-    t.bits()
     tracemalloc.start()
     try:
         spec = wht(t)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,8 @@ from influence_lab.measures import (
     influences,
     max_sensitivity,
     measure_report,
-    sensitivity_at,
-    sensitivity_profile,
 )
+from influence_lab.oracles import sensitivity_at, sensitivity_profile
 from influence_lab.truthtable import (
     TruthTable,
     builtin,
@@ -90,6 +90,51 @@ def test_sensitivity_profile_of_parity_at_the_cap():
     profile = sensitivity_profile(builtin("parity", 20))
     assert bool(np.all(profile == 20))
     assert int(profile.sum()) == 20 << 20
+
+
+def _influences_by_gather(t):
+    bits, idx = t.bits(), np.arange(t.size)
+    return tuple(Fraction(int(np.count_nonzero(bits != bits[idx ^ (1 << i)])), t.size) for i in range(t.n))
+
+
+def test_packed_kernels_match_unpacked_references():
+    # every n up to 12: n < 6 fills part of one word, n = 6, 7 put x_6 at the word boundary
+    tables = [random_table(n, 70 + 3 * n + j) for n in range(1, 13) for j in range(3)]
+    tables += [TruthTable(n, 0) for n in range(1, 13)] + [builtin("and", n) for n in range(2, 13)]
+    tables += [complement(t) for t in tables] + [_relabeled(t, seed) for seed, t in enumerate(tables)]
+    for t in tables:
+        profile = sensitivity_profile(t)
+        assert max_sensitivity(t) == (int(profile.max()), int(np.argmax(profile))), str(t)
+        assert influences(t) == _influences_by_gather(t), str(t)
+
+
+def test_packed_kernels_pinned_results():
+    for n in range(1, 13):
+        assert max_sensitivity(TruthTable(n, 0)) == (0, 0)
+        assert max_sensitivity(complement(TruthTable(n, 0))) == (0, 0)
+    for n in range(2, 13):
+        assert max_sensitivity(builtin("and", n)) == (n, (1 << n) - 1)  # only the all-ones input
+    parity = builtin("parity", 20)
+    assert max_sensitivity(parity) == (20, 0)
+    assert influences(parity) == (1,) * 20
+
+
+@pytest.mark.parametrize(
+    "kernel, limit_mib",
+    [(fourier.wht, 16.0), (measures.influences, 1.5), (measures.max_sensitivity, 1.5)],
+    ids=["wht", "influences", "max_sensitivity"],
+)
+def test_full_table_kernel_peak_at_the_cap(kernel, limit_mib):
+    # on a fresh table the unpacked routes peaked at 17.0, 1.5 and 3.0 MiB: int64
+    # signs, and the 1 MiB bit array they unpacked; the packed routes unpack nothing
+    t = random_table(20, 5)
+    tracemalloc.start()
+    try:
+        kernel(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
 
 
 def test_block_sensitivity_paper_f():
