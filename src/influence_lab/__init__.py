@@ -21,7 +21,6 @@ from .measures import (
     avg_influence,
     avg_sensitivity,
     block_sensitivity,
-    influence,
     max_sensitivity,
     measure_report,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "compose",
     "elaborate",
     "exact_degree",
-    "influence",
     "inverse_wht",
     "iterate",
     "max_sensitivity",

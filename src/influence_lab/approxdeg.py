@@ -59,7 +59,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .bounds import minimax_error_floor
-from .errors import CapacityError, ConsistencyError, InputError, SolverError
+from .errors import CapacityError, InputError, SolverError
 from .fourier import butterfly, spectral_degree, wht
 from .truthtable import TruthTable, popcounts
 
@@ -265,28 +265,6 @@ def approx_degree(t: TruthTable, eps: float) -> int:
     return approx_degree_scan(t, eps).degree
 
 
-def mean_square_flip(poly: MultilinearPoly) -> float:
-    """E over (x, i) of |p(x) - p(x flip i)|^2, checked against its spectral form.
-
-    The spectral identity is 4 * sum_s c_s^2 |s|/n; enumeration and identity
-    must agree to 1e-9 or the polynomial evaluation is broken.
-    """
-    n = poly.n
-    vals = poly.values()
-    total = 0.0
-    for i in range(n):
-        view = vals.reshape(-1, 2, 1 << i)
-        diff = view[:, 0, :] - view[:, 1, :]
-        total += 2.0 * float(np.sum(diff * diff))
-    enumerated = total / (n * (1 << n))
-    spectral = 4.0 * float(poly.coeffs**2 @ popcounts(n)) / n
-    if abs(enumerated - spectral) > 1e-9:
-        raise ConsistencyError(
-            f"flip statistic disagrees: enumeration {enumerated} vs spectral {spectral}"
-        )
-    return enumerated
-
-
 __all__ = [
     "DegreeScan",
     "MultilinearPoly",
@@ -294,6 +272,5 @@ __all__ = [
     "approx_degree_scan",
     "exact_degree",
     "max_abs_error",
-    "mean_square_flip",
     "min_error_at_degree",
 ]

@@ -129,11 +129,12 @@ def inverse_wht(spec: FourierSpectrum) -> TruthTable:
 
 
 def spectral_degree(spec: FourierSpectrum) -> int:
-    """Max popcount over masks with a nonzero coefficient (exact zero test)."""
-    nonzero = spec.sums != 0
-    if not bool(nonzero.any()):
-        return 0
-    return int(popcounts(spec.n)[nonzero].max())
+    """Max popcount over masks with a nonzero coefficient.
+
+    That is the top level of nonzero weight in weight_profile, exactly: a
+    level weight is a sum of squares, so it is 0 only when every term is.
+    """
+    return max((j for j, a in enumerate(spec.weight_profile()) if a), default=0)
 
 
 def _entries(spec: FourierSpectrum, masks: np.ndarray) -> list[dict]:

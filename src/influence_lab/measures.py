@@ -49,7 +49,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError
 from .truthtable import TruthTable
 
 # with no interchangeable pair of variables the scan visits all 2^16 inputs: about 1 s for
@@ -110,13 +110,6 @@ def _flip_words(t: TruthTable) -> Iterator[np.ndarray]:
         halves = w.reshape(-1, 2, 1 << (i - 6))
         diff = halves[:, 0] ^ halves[:, 1]
         yield np.stack((diff, diff), axis=1).reshape(-1)
-
-
-def influence(t: TruthTable, i: int) -> Fraction:
-    """Probability over uniform x that flipping bit i changes f(x)."""
-    if not 0 <= i < t.n:
-        raise InputError(f"variable index {i} out of range for n={t.n}")
-    return influences(t)[i]
 
 
 def influences(t: TruthTable) -> tuple[Fraction, ...]:
@@ -227,31 +220,20 @@ def _subcube_candidates(bits: np.ndarray, xs: np.ndarray, spread: np.ndarray) ->
     subset), so only subsets of the insensitive coordinates need enumeration.
     Blocks kept here are sensitive with no sensitive single-removal subset: a
     superset of the truly minimal ones, so the packing optimum is unchanged.
+    Each input's blocks ascend, as spread does.
     """
-    blocks: list[list[int]] = [[] for _ in xs]
-    # an input has a sensitive block iff f is not constant on its subcube,
-    # which inputs agreeing outside the free coordinates share
-    bases, which = np.unique(xs & ~spread[-1], return_inverse=True)
-    cube = bits[bases[:, None] ^ spread[None, :]]
-    live = np.flatnonzero((cube.min(axis=1) != cube.max(axis=1))[which])
-    if not live.size:
-        return blocks
-    xs_live = xs[live]
-    # row j, column i: does flipping block spread[j] change f at the i-th live input
-    sens = bits[spread[:, None] ^ xs_live[None, :]] != bits[xs_live][None, :]
-    k, m = len(live), len(spread).bit_length() - 1
+    # row j, column i: does flipping block spread[j] change f at input xs[i]
+    sens = bits[spread[:, None] ^ xs[None, :]] != bits[xs][None, :]
+    k, m = xs.size, len(spread).bit_length() - 1
     keep = sens.copy()
     for b in range(m):
         kview = keep.reshape(-1, 2, k << b)
         sview = sens.reshape(-1, 2, k << b)
         kview[:, 1, :] &= ~sview[:, 0, :]
-    subsets, inputs = np.nonzero(keep)  # row 0 is the empty block, never sensitive
-    by_input = np.argsort(inputs, kind="stable")
-    masks = spread[subsets[by_input]].tolist()
-    cuts = np.searchsorted(inputs[by_input], np.arange(k + 1)).tolist()
-    for i, lo, hi in zip(live.tolist(), cuts, cuts[1:]):
-        blocks[i] = masks[lo:hi]
-    return blocks
+    inputs, subsets = np.nonzero(keep.T)  # by input, subsets ascending; row 0 is never sensitive
+    masks = spread[subsets].tolist()
+    cuts = np.searchsorted(inputs, np.arange(k + 1)).tolist()
+    return [masks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _capacity_bound(sizes: list[int], free: int, start: int = 0) -> int:
@@ -302,31 +284,8 @@ def _pack_blocks(blocks: list[int], n: int) -> tuple[int, tuple[int, ...]]:
     return best_count, best_sel
 
 
-def _singleton_masks(coord_mask: int, n: int) -> tuple[int, ...]:
-    return tuple(1 << i for i in range(n) if (coord_mask >> i) & 1)
-
-
-def block_sensitivity_at(t: TruthTable, x) -> tuple[int, tuple[int, ...]]:
-    """Exact max number of disjoint sensitive blocks at x, with a witness family.
-
-    Every sensitive coordinate joins the packing as a singleton; the branch
-    and bound only has to pack the multi-coordinate blocks living in the
-    remaining coordinates.
-    """
-    if t.n > BS_EXACT_MAX_VARS:
-        raise CapacityError(f"exact block sensitivity is capped at n={BS_EXACT_MAX_VARS}")
-    idx = t.index_of(x)
-    bits = t.bits()
-    coord_mask = sum(1 << i for i in range(t.n) if bits[idx ^ (1 << i)] != bits[idx])
-    singles = _singleton_masks(coord_mask, t.n)
-    free = tuple(i for i in range(t.n) if not (coord_mask >> i) & 1)
-    [blocks] = _subcube_candidates(bits, np.array([idx]), _spread_table(free))
-    packed, sel = _pack_blocks(blocks, len(free))
-    return len(singles) + packed, singles + sel
-
-
 def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> BlockSensitivityResult:
-    """Exact block sensitivity: max over all inputs of block_sensitivity_at.
+    """Exact block sensitivity: the most disjoint blocks that each flip f at one input.
 
     The witness is the smallest input index attaining the maximum. With a
     budget, the scan stops at the first input it finishes after the deadline
@@ -376,7 +335,7 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
                     break
             scanned += run.size
             for x, blocks in zip(run.tolist(), _subcube_candidates(bits, run, spread)):
-                key = (tuple(sorted(blocks)), free_count)
+                key = (tuple(blocks), free_count)
                 packing = pack_cache.get(key)
                 if packing is None:
                     sizes = sorted(b.bit_count() for b in blocks)
@@ -387,7 +346,7 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
                 packed, sel = packing
                 if (s_count + packed, -x) > (best, -best_x):
                     best, best_x = s_count + packed, x
-                    best_blocks = _singleton_masks(coord_mask, n) + sel
+                    best_blocks = tuple(1 << i for i in range(n) if (coord_mask >> i) & 1) + sel
                 if deadline is not None and time.monotonic() > deadline:
                     return BlockSensitivityResult(max(best, 0), False, best_x, best_blocks, scanned)
     return BlockSensitivityResult(max(best, 0), True, best_x, best_blocks, scanned)
@@ -429,8 +388,6 @@ __all__ = [
     "avg_influence",
     "avg_sensitivity",
     "block_sensitivity",
-    "block_sensitivity_at",
-    "influence",
     "influences",
     "max_sensitivity",
     "measure_report",

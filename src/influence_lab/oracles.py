@@ -3,6 +3,10 @@
 Deliberately dumb implementations along completely different code paths than
 the production routines. The verify suites and the test suite hold the fast
 paths against these on small instances; nothing here is performance-tuned.
+
+Block sensitivity packs minimal sensitive blocks only. That is exact: in any
+family of disjoint sensitive blocks, each block contains a minimal sensitive
+block, and those sub-blocks are still disjoint and as many.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import qsim
+from .approxdeg import MultilinearPoly
 from .errors import CapacityError, InputError
 from .truthtable import TruthTable
 
@@ -81,18 +86,37 @@ def sensitivity_at(t: TruthTable, x) -> int:
 
 
 def block_sensitivity_naive_at(t: TruthTable, x: int) -> int:
-    """Max packing over ALL sensitive blocks by memoized exhaustive search."""
-    if t.n > 6:
-        raise CapacityError("naive block packing is capped at n=6")
-    fx = t.bit_at(x)
-    sensitive = tuple(
-        b for b in range(1, t.size) if t.bit_at(x ^ b) != fx
-    )
+    """Max number of disjoint sensitive blocks at x, packing the minimal ones only.
+
+    A block B is sensitive at x when f(x ^ B) != f(x), and minimal when no
+    proper subset of B is. Shrinking each block of a disjoint sensitive family
+    to a minimal sensitive sub-block keeps the family disjoint and its size,
+    so the best packing of minimal blocks is the best packing of all. has[b]
+    says whether b contains a sensitive block: sens[b], or has[b - e_i] for
+    some i in b; b is minimal when sens[b] holds and no has[b - e_i] does.
+    """
+    if t.n > 12:
+        raise CapacityError("naive block packing is capped at n=12")
+    bits = t.bits()
+    sens = (bits[np.arange(t.size) ^ x] != bits[x]).tolist()
+    has = [False] * t.size
+    containing: list[list[int]] = [[] for _ in range(t.n)]  # minimal blocks, by each variable in them
+    for b in range(1, t.size):
+        inside = [i for i in range(t.n) if (b >> i) & 1]
+        below = any(has[b ^ (1 << i)] for i in inside)
+        has[b] = sens[b] or below
+        if sens[b] and not below:
+            for i in inside:
+                containing[i].append(b)
 
     @lru_cache(maxsize=None)
     def best(avail: int) -> int:
-        top = 0
-        for b in sensitive:
+        if not avail:
+            return 0
+        # the lowest available variable is in no chosen block, or in one of its blocks that fits
+        low = (avail & -avail).bit_length() - 1
+        top = best(avail ^ (1 << low))
+        for b in containing[low]:
             if b & ~avail == 0:
                 top = max(top, 1 + best(avail & ~b))
         return top
@@ -156,6 +180,18 @@ def flip_prob_bruteforce(t: TruthTable, k: int) -> Fraction:
     return Fraction(total, t.size * n**k)
 
 
+def mean_square_flip(poly: MultilinearPoly) -> float:
+    """E over (x, i) of |p(x) - p(x flip i)|^2, by evaluating p at every input."""
+    n = poly.n
+    vals = poly.values()
+    total = 0.0
+    for i in range(n):
+        view = vals.reshape(-1, 2, 1 << i)
+        diff = view[:, 0, :] - view[:, 1, :]
+        total += 2.0 * float(np.sum(diff * diff))
+    return total / (n * (1 << n))
+
+
 def displacement_direct(state: qsim.FourierState, k: int) -> float:
     """qsim.displacement_statistic by enumerating every oracle and coordinate tuple."""
     _require_odd(k)
@@ -200,6 +236,7 @@ __all__ = [
     "displacement_direct",
     "flip_prob_bruteforce",
     "gap_check_direct",
+    "mean_square_flip",
     "sensitivity_at",
     "sensitivity_profile",
     "symmetry_classes_naive",

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from influence_lab import approxdeg, bounds, fourier, lp, measures, oracles, qsim
-from influence_lab.truthtable import builtin, iterate, random_table
+from influence_lab.truthtable import builtin, iterate, popcounts, random_table
 
 
 @contextmanager
@@ -261,7 +261,9 @@ def test_criterion_10_degree_bound_consistency(corpus):
                 for scan in (_scan(t, 0.0), _scan(t, 1 / 3)):
                     for d, poly in scan.polynomials.items():
                         eps_achieved = approxdeg.max_abs_error(poly, t)
-                        e_prime = approxdeg.mean_square_flip(poly)
+                        e_prime = oracles.mean_square_flip(poly)
+                        spectral = 4 * float(poly.coeffs**2 @ popcounts(t.n)) / t.n
+                        assert abs(e_prime - spectral) <= 1e-9
                         assert (1 - 2 * eps_achieved) ** 2 * rho - 1e-9 <= e_prime
                         assert e_prime <= 4 * (1 + eps_achieved) ** 2 * d / t.n + 1e-9
 

@@ -12,13 +12,13 @@ from influence_lab.approxdeg import (
     approx_degree_scan,
     exact_degree,
     max_abs_error,
-    mean_square_flip,
     min_error_at_degree,
 )
 from influence_lab.bounds import minimax_error_floor
 from influence_lab.errors import CapacityError, InputError, SolverError
 from influence_lab.fourier import wht
 from influence_lab.lp import minimax_fit_exact, solve_min_exact
+from influence_lab.oracles import mean_square_flip
 from influence_lab.truthtable import TruthTable, builtin, popcounts, random_table
 
 OR2 = builtin("or", 2)
@@ -414,7 +414,8 @@ def test_mean_square_flip_single_character():
 
 
 def test_mean_square_flip_lp_poly_sandwich():
-    # (1 - 2 eps)^2 rho <= E' <= 4 (1 + eps)^2 d / n for the returned fits
+    # (1 - 2 eps)^2 rho <= E' <= 4 (1 + eps)^2 d / n for the returned fits,
+    # and E' is its spectral form 4 sum_s c_s^2 |s| / n
     for seed in range(5):
         t = random_table(4, 3100 + seed)
         rho = float(measures.avg_influence(t))
@@ -422,5 +423,6 @@ def test_mean_square_flip_lp_poly_sandwich():
             t_star, poly = min_error_at_degree(t, d)
             eps = max_abs_error(poly, t)
             e_prime = mean_square_flip(poly)
+            assert e_prime == pytest.approx(4 * float(poly.coeffs**2 @ popcounts(t.n)) / t.n, abs=1e-9)
             assert (1 - 2 * eps) ** 2 * rho - 1e-9 <= e_prime
             assert e_prime <= 4 * (1 + eps) ** 2 * d / t.n + 1e-9

@@ -1,22 +1,21 @@
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 
 from influence_lab import dsl, fourier, measures, oracles
-from influence_lab.errors import CapacityError, InputError
+from influence_lab.errors import CapacityError
 from influence_lab.measures import (
     avg_influence,
     avg_sensitivity,
     block_sensitivity,
-    block_sensitivity_at,
-    influence,
     influences,
     max_sensitivity,
     measure_report,
 )
-from influence_lab.oracles import sensitivity_at, sensitivity_profile
+from influence_lab.oracles import block_sensitivity_naive_at, sensitivity_at, sensitivity_profile
 from influence_lab.truthtable import (
     TruthTable,
     builtin,
@@ -32,12 +31,9 @@ PAPER_F = builtin("paper_f", 4)
 
 
 def test_influence_families():
-    for i in range(4):
-        assert influence(builtin("parity", 4), i) == 1
-    assert influence(AND2, 0) == Fraction(1, 2)
-    assert influence(TruthTable(3, 0), 1) == 0
-    with pytest.raises(InputError):
-        influence(AND2, 2)
+    assert influences(builtin("parity", 4)) == (1, 1, 1, 1)
+    assert influences(AND2)[0] == Fraction(1, 2)
+    assert influences(TruthTable(3, 0))[1] == 0
 
 
 def test_avg_influence_equals_spectral(small_corpus):
@@ -137,13 +133,23 @@ def test_full_table_kernel_peak_at_the_cap(kernel, limit_mib):
     assert peak < limit_mib * 2**20
 
 
+def _assert_packing(t, x, value, blocks):
+    """blocks are value pairwise disjoint blocks, each flipping f at x."""
+    combined = 0
+    for block in blocks:
+        assert block != 0
+        assert combined & block == 0
+        combined |= block
+        assert t.bit_at(x ^ block) != t.bit_at(x)
+    assert len(blocks) == value
+
+
 def test_block_sensitivity_paper_f():
     result = block_sensitivity(PAPER_F)
     assert result.value == 3
     assert result.exact
-    value, blocks = block_sensitivity_at(PAPER_F, 0b0001)  # x = (1,0,0,0)
-    assert value == 3
-    assert set(blocks) == {0b0010, 0b0100, 0b1001}  # {x1}, {x2}, {x0, x3}
+    assert block_sensitivity_naive_at(PAPER_F, 0b0001) == 3  # x = (1,0,0,0)
+    _assert_packing(PAPER_F, 0b0001, 3, (0b0010, 0b0100, 0b1001))  # {x1}, {x2}, {x0, x3}
 
 
 def test_block_sensitivity_parity():
@@ -157,14 +163,7 @@ def test_block_sensitivity_witness_valid(small_corpus):
     for t in small_corpus[5][:6]:
         result = block_sensitivity(t)
         assert result.exact
-        fx = t.bit_at(result.witness_input)
-        combined = 0
-        for block in result.witness_blocks:
-            assert block != 0
-            assert combined & block == 0  # pairwise disjoint
-            combined |= block
-            assert t.bit_at(result.witness_input ^ block) != fx
-        assert len(result.witness_blocks) == result.value
+        _assert_packing(t, result.witness_input, result.value, result.witness_blocks)
 
 
 def test_block_sensitivity_matches_naive(small_corpus):
@@ -173,13 +172,23 @@ def test_block_sensitivity_matches_naive(small_corpus):
             assert block_sensitivity(t).value == oracles.block_sensitivity_naive(t)
 
 
-def test_block_sensitivity_at_matches_naive():
-    for seed in range(8):
-        t = random_table(4, 600 + seed)
+def _packing_over_all_blocks(t, x):
+    """bs at x by exhaustive search over every sensitive block, minimal or not."""
+    sensitive = [b for b in range(1, t.size) if t.bit_at(x ^ b) != t.bit_at(x)]
+
+    @cache
+    def best(avail):
+        return max((1 + best(avail & ~b) for b in sensitive if b & ~avail == 0), default=0)
+
+    return best(t.size - 1)
+
+
+def test_block_sensitivity_naive_at_matches_all_block_packing():
+    # the oracle packs minimal blocks only; packing every sensitive block must give the same
+    tables = [random_table(4, 600 + seed) for seed in range(8)] + [random_table(6, 610), PAPER_F]
+    for t in tables:
         for x in range(t.size):
-            value, blocks = block_sensitivity_at(t, x)
-            assert value == oracles.block_sensitivity_naive_at(t, x)
-            assert len(blocks) == value
+            assert block_sensitivity_naive_at(t, x) == _packing_over_all_blocks(t, x)
 
 
 @pytest.mark.parametrize(
@@ -191,13 +200,15 @@ def test_block_sensitivity_at_matches_naive():
     ],
 )
 def test_block_sensitivity_pinned_results(expr, value, witness, blocks):
-    # the witness is the smallest input attaining bs, with the packing block_sensitivity_at finds there
+    # the witness is the smallest input attaining bs; the oracle is capped at n = 12
     t = dsl.elaborate(expr)
     result = block_sensitivity(t)
     assert (result.value, result.witness_input, result.witness_blocks) == (value, witness, blocks)
     assert result.exact
-    assert block_sensitivity_at(t, witness) == (value, blocks)
-    assert all(block_sensitivity_at(t, x)[0] < value for x in range(witness))
+    _assert_packing(t, witness, value, blocks)
+    assert all(block_sensitivity_naive_at(t, x) < value for x in range(witness))
+    if t.n <= 12:
+        assert block_sensitivity_naive_at(t, witness) == value
 
 
 def test_block_sensitivity_scan_stops_at_first_group_that_cannot_win():
@@ -208,14 +219,14 @@ def test_block_sensitivity_scan_stops_at_first_group_that_cannot_win():
 
 
 def test_block_sensitivity_witness_agrees_with_single_input(small_corpus):
-    # block_sensitivity_at packs from scratch, from x's own neighbours, without
-    # the scan's memo or mask kernel; the witness is the smallest input
-    # attaining bs, whatever order the scan takes
+    # the oracle finds minimal blocks by its own subset search, sharing no code
+    # with the scan; the witness is the smallest input attaining bs, whatever
+    # order the scan takes
     for n, tables in small_corpus.items():
         for t in tables:
             result = block_sensitivity(t)
-            assert block_sensitivity_at(t, result.witness_input) == (result.value, result.witness_blocks)
-            smallest = next(x for x in range(t.size) if block_sensitivity_at(t, x)[0] == result.value)
+            _assert_packing(t, result.witness_input, result.value, result.witness_blocks)
+            smallest = next(x for x in range(t.size) if block_sensitivity_naive_at(t, x) == result.value)
             assert result.witness_input == smallest
 
 
@@ -232,10 +243,7 @@ def test_block_sensitivity_equal_sensitivity_inputs_pack_differently(n, packed_h
     # of free variables need different packings, so a packing memo keyed on
     # that count alone misses the maximum
     t = TruthTable(n, int(packed_hex, 16))
-    by_input = max(block_sensitivity_at(t, x)[0] for x in range(t.size))
-    assert block_sensitivity(t).value == by_input
-    if n <= 6:
-        assert by_input == oracles.block_sensitivity_naive(t)
+    assert block_sensitivity(t).value == oracles.block_sensitivity_naive(t)
 
 
 def _candidates_by_definition(t, x, free):
@@ -333,12 +341,12 @@ def test_orbit_scan_matches_every_input(expr):
     minima = measures._orbit_minima(classes)
     assert minima.tolist() == sorted({_orbit_minimum(x, classes) for x in range(t.size)})
     assert minima.size == np.prod([len(c) + 1 for c in classes])
-    by_input = [block_sensitivity_at(t, x)[0] for x in range(t.size)]
+    by_input = [block_sensitivity_naive_at(t, x) for x in range(t.size)]
     result = block_sensitivity(t)
     assert result.exact
     assert result.value == max(by_input)
     assert result.witness_input == by_input.index(result.value)
-    assert block_sensitivity_at(t, result.witness_input) == (result.value, result.witness_blocks)
+    _assert_packing(t, result.witness_input, result.value, result.witness_blocks)
     assert result.inputs_scanned <= minima.size
 
 
@@ -380,8 +388,6 @@ def test_block_sensitivity_budget_flags_partial():
 def test_block_sensitivity_capacity():
     with pytest.raises(CapacityError):
         block_sensitivity(random_table(17, 0))
-    with pytest.raises(CapacityError):
-        block_sensitivity_at(random_table(17, 0), 0)
 
 
 def test_measures_invariant_under_complement():
@@ -412,7 +418,7 @@ def test_influence_spectral_identity(small_corpus):
         for i in range(t.n):
             masks = [s for s in range(t.size) if (s >> i) & 1]
             num = sum(int(spec.sums[s]) ** 2 for s in masks)
-            assert influence(t, i) == Fraction(num, den)
+            assert influences(t)[i] == Fraction(num, den)
 
 
 def test_measure_report_consistency():
