@@ -12,7 +12,9 @@ Conventions shared by every function here:
   - Bounds that go nonpositive are clamped to 0 and flagged vacuous instead
     of raising, since large eps legitimately drains them.
   - k is the number of independently chosen coordinates XORed into the random
-    flip; it must be odd (the k-th-root step of the derivation needs it).
+    flip; it must be odd (the k-th-root step of the derivation needs it). The
+    query bound is the same or weaker at every odd k than at k = 1, the
+    paper's bound; query_lb_influence_best holds the proof.
 
 flip_prob_spectral and oracles.flip_prob_bruteforce are two routes to the
 same probability Pr[f(x) != f(x ^ e_{i_1} ^ .. ^ e_{i_k})]; the verify suite
@@ -103,17 +105,19 @@ def query_lb_influence_k(weights: Sequence[int], eps: float, k: int) -> BoundVal
     return BoundValue(max(0.0, raw), eps >= 0.25 or raw < 0)
 
 
-def query_lb_influence_best(weights: Sequence[int], eps: float, k_max: int = 15):
-    """Scan odd k <= k_max, return (best_k, BoundValue); ties pick the smallest k."""
-    if k_max < 1:
-        raise InputError("k_max must be at least 1")
-    best_k = 1
-    best = query_lb_influence_k(weights, eps, 1)
-    for k in range(3, k_max + 1, 2):
-        cand = query_lb_influence_k(weights, eps, k)
-        if cand.value > best.value:
-            best_k, best = k, cand
-    return best_k, best
+def query_lb_influence_best(weights: Sequence[int], eps: float) -> tuple[int, BoundValue]:
+    """The best odd k and its bound: (1, query_lb_influence_k(weights, eps, 1)).
+
+    No odd k beats k = 1. For eps < 1/4 the radicand at odd k is E[X^k], where
+    X = 1 with probability (1 + 2 sqrt(eps))/2 and X = 1 - 2j/n with
+    probability (1 - 2 sqrt(eps))/2 * A_j/4^n. The mass at 1 is at least the
+    mass below 0, so each negative value y can be paired with an equal mass at
+    1 and the pair moved to (1 + y)/2. The move keeps E[X] and does not raise
+    E[X^k], since y^k >= y on [-1, 0] and t^k <= t on [0, 1]. On [0, 1] Jensen
+    gives E[X^k] >= E[X]^k, so radicand_k^(1/k) >= radicand_1. From eps = 1/4
+    on every k is vacuous.
+    """
+    return 1, query_lb_influence_k(weights, eps, 1)
 
 
 def query_lb_block_sensitivity(bs: float) -> float:
@@ -173,12 +177,11 @@ class BoundReport:
 def bound_report(
     weights: Sequence[int],
     eps: float,
-    k_max: int = 15,
     block_sensitivity: int | None = None,
     approx_degree: int | None = None,
 ) -> BoundReport:
     n, rho = len(weights) - 1, float(flip_prob_spectral(weights, 1))
-    best_k, best = query_lb_influence_best(weights, eps, k_max)
+    best_k, best = query_lb_influence_best(weights, eps)
     return BoundReport(
         eps=eps,
         query_influence=query_lb_influence(rho, n, eps),

@@ -147,7 +147,7 @@ def cmd_analyze(args) -> dict:
             if mreport.block_sensitivity is not None and mreport.block_sensitivity.exact
             else None
         )
-        breport = bounds.bound_report(spec.weight_profile(), args.eps, args.kmax, bs_value, approx_d)
+        breport = bounds.bound_report(spec.weight_profile(), args.eps, bs_value, approx_d)
     report = {
         "schema": 1,
         "input": source,
@@ -220,7 +220,7 @@ def cmd_simulate(args) -> dict:
             }
         )
     gap = None
-    if not args.no_gap_check and n <= qsim.GAP_CHECK_MAX_VARS:
+    if n <= qsim.GAP_CHECK_MAX_VARS:
         g = qsim.gap_check(state, table, eps_measured)
         gap = {
             "min": g.min_gap,
@@ -272,19 +272,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def _render_text(report: dict, out) -> None:
-    def walk(prefix: str, value):
-        if isinstance(value, dict):
-            for key in sorted(value):
-                walk(f"{prefix}{key}.", value[key])
-        elif isinstance(value, list) and len(value) > 12:
-            print(f"{prefix[:-1]}: [{len(value)} entries]", file=out)
-        else:
-            print(f"{prefix[:-1]}: {value}", file=out)
-
-    walk("", report)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="influence-lab",
@@ -293,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--timing", action="store_true", help="include wall-clock timings (breaks byte determinism)")
 
     def add_function_source(p):
@@ -303,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="measures, spectrum, and lower bounds")
     add_function_source(p)
     p.add_argument("--eps", type=float, default=1 / 3)
-    p.add_argument("--kmax", type=int, default=15)
     p.add_argument("--no-bs", action="store_true", help="skip block sensitivity")
     p.add_argument("--bs-budget", type=float, default=None, help="block-sensitivity time budget in seconds")
     p.add_argument("--approx-degree", action="store_true", help="also run the LP degree scan")
@@ -324,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--iterations", type=int, default=1, help="grover iterations")
     p.add_argument("--k", type=int, action="append", help="odd k for displacement statistics (repeatable)")
-    p.add_argument("--no-gap-check", action="store_true")
     add_function_source(p)
     add_common(p)
     p.set_defaults(fn=cmd_simulate)
@@ -355,10 +339,7 @@ def main(argv=None) -> int:
     except (SolverError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    if args.format == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        _render_text(report, sys.stdout)
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

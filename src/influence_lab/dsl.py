@@ -23,7 +23,7 @@ a whole function is expected, not as a bit inside a larger formula.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class Token:
     kind: str  # var | name | int | one of ! & ^ | ( ) , | end
     text: str
     start: int
-    end: int
 
 
 def _tokenize(source: str) -> list[Token]:
@@ -68,8 +67,8 @@ def _tokenize(source: str) -> list[Token]:
         text = m.group(0)
         if kind == "op":
             kind = text
-        tokens.append(Token(kind, text, m.start(), m.end()))
-    tokens.append(Token("end", "", len(source), len(source)))
+        tokens.append(Token(kind, text, m.start()))
+    tokens.append(Token("end", "", len(source)))
     return tokens
 
 
@@ -78,7 +77,6 @@ class Node:
     kind: str  # var | const | not | and | or | xor | call
     value: int | str | None
     children: tuple["Node", ...]
-    span: tuple[int, int] = field(compare=False)
 
 
 _ATOM_STARTERS = frozenset({"var", "name", "int", "(", "!"})
@@ -127,7 +125,7 @@ class _Parser:
         while self.peek().kind == op:
             op_tok = self.advance()
             right = self._operand_after(op_tok, parse_operand)
-            node = Node(kind, None, (node, right), (node.span[0], right.span[1]))
+            node = Node(kind, None, (node, right))
         return node
 
     def _operand_after(self, op_tok: Token, parse_operand) -> Node:
@@ -156,17 +154,17 @@ class _Parser:
         if tok.kind == "!":
             op_tok = self.advance()
             child = self._operand_after(op_tok, self.parse_unary)
-            return Node("not", None, (child,), (op_tok.start, child.span[1]))
+            return Node("not", None, (child,))
         return self.parse_atom()
 
     def parse_atom(self) -> Node:
         tok = self.peek()
         if tok.kind == "var":
             self.advance()
-            return Node("var", int(tok.text[1:]), (), (tok.start, tok.end))
+            return Node("var", int(tok.text[1:]), ())
         if tok.kind == "int":
             self.advance()
-            return Node("const", int(tok.text), (), (tok.start, tok.end))
+            return Node("const", int(tok.text), ())
         if tok.kind == "name":
             self.advance()
             if self.peek().kind == "(":
@@ -177,14 +175,14 @@ class _Parser:
                     while self.peek().kind == ",":
                         self.advance()
                         args.append(self.parse_or())
-                closer = self.expect(")")
-                return Node("call", tok.text, tuple(args), (tok.start, closer.end))
-            return Node("call", tok.text, (), (tok.start, tok.end))
+                self.expect(")")
+                return Node("call", tok.text, tuple(args))
+            return Node("call", tok.text, ())
         if tok.kind == "(":
             self.advance()
             inner = self.parse_or()
-            closer = self.expect(")")
-            return replace(inner, span=(tok.start, closer.end))
+            self.expect(")")
+            return inner
         raise ParseError(
             f"unexpected {self._describe(tok)}",
             self.source,

@@ -160,19 +160,16 @@ def symmetry_classes(t: TruthTable) -> tuple[tuple[int, ...], ...]:
 
     ~ is an equivalence (if i ~ j and j ~ k, the transposition (i k) is (i j)
     conjugated by (j k)), so a new variable is compared only with the first
-    member of each class, and only of a class with its own influence, which
-    interchangeable variables share. Classes and their members are ascending.
+    member of each class. Classes and their members are ascending.
     """
     bits = t.bits()
-    infl = influences(t)
     classes: list[list[int]] = []
     for j in range(t.n):
         for c in classes:
-            if infl[c[0]] == infl[j]:
-                view = _pair_view(bits, c[0], j)
-                if np.array_equal(view[:, 0, :, 1, :], view[:, 1, :, 0, :]):
-                    c.append(j)
-                    break
+            view = _pair_view(bits, c[0], j)
+            if np.array_equal(view[:, 0, :, 1, :], view[:, 1, :, 0, :]):
+                c.append(j)
+                break
         else:
             classes.append([j])
     return tuple(tuple(c) for c in classes)

@@ -112,12 +112,8 @@ class Algorithm:
     layout: RegisterLayout
     steps: tuple
     accept: frozenset  # basis indices whose measurement means output 1
-    queries: int
 
     def __post_init__(self):
-        n_queries = sum(1 for s in self.steps if isinstance(s, Query))
-        if n_queries != self.queries:
-            raise InputError(f"declared {self.queries} queries, steps contain {n_queries}")
         for s in self.steps:
             if isinstance(s, Unitary):
                 if s.matrix.shape != (self.layout.dim, self.layout.dim):
@@ -127,6 +123,10 @@ class Algorithm:
                     raise InputError("permutation dimension does not match layout")
             elif not isinstance(s, Query):
                 raise InputError(f"unknown step {s!r}")
+
+    @property
+    def queries(self) -> int:
+        return sum(isinstance(s, Query) for s in self.steps)
 
 
 class FourierState:
@@ -145,9 +145,6 @@ class FourierState:
     def norm_sq(self) -> float:
         return float(_row_norms_sq(self.coeffs).sum())
 
-    def support(self) -> frozenset:
-        return frozenset(self.masks.tolist())
-
     def max_weight(self) -> int:
         return int(np.bitwise_count(self.masks).max(initial=0))
 
@@ -164,7 +161,7 @@ def initial_state(layout: RegisterLayout) -> FourierState:
     return state
 
 
-def apply_unitary(state: FourierState, u: Unitary | Permutation | np.ndarray) -> FourierState:
+def apply_unitary(state: FourierState, u: Unitary | Permutation) -> FourierState:
     """Coefficient-wise action, one GEMM over the coefficient rows.
 
     The support set never changes. A real matrix acts on the real and
@@ -178,8 +175,6 @@ def apply_unitary(state: FourierState, u: Unitary | Permutation | np.ndarray) ->
         out[:, u.target] = state.coeffs
         state.coeffs = out
         return state
-    if isinstance(u, np.ndarray):
-        u = Unitary(u)
     if u.matrix.shape != (state.layout.dim, state.layout.dim):
         raise InputError("unitary dimension does not match layout")
     mt = u.matrix.T
@@ -284,7 +279,6 @@ def _relabel(layout: RegisterLayout, i: np.ndarray, a: np.ndarray, w: np.ndarray
 class ErrorProfile(NamedTuple):
     per_oracle: np.ndarray  # error probability against f, indexed by oracle
     worst: float
-    queries: int
 
 
 def oracle_states(state: FourierState, columns=None) -> np.ndarray:
@@ -323,7 +317,7 @@ def profile_state(state: FourierState, accept: frozenset, table: TruthTable) -> 
     p1 = acceptance_probabilities(state, accept)
     f = table.bits().astype(np.float64)
     errors = np.where(f == 1.0, 1.0 - p1, p1)
-    return ErrorProfile(errors, float(np.max(errors)), state.queries_applied)
+    return ErrorProfile(errors, float(np.max(errors)))
 
 
 def error_profile(alg: Algorithm, table: TruthTable) -> ErrorProfile:
@@ -409,7 +403,7 @@ def serial_read(table: TruthTable) -> Algorithm:
         # swap the answer bit with work bit t
         steps.append(_relabel(layout, i, (w >> t) & 1, (w & ~(1 << t)) | (a << t)))
     accept = frozenset(np.flatnonzero(table.bits()[w]).tolist())
-    return Algorithm(layout, tuple(steps), accept, n)
+    return Algorithm(layout, tuple(steps), accept)
 
 
 def deutsch_parity(n: int) -> Algorithm:
@@ -441,7 +435,7 @@ def deutsch_parity(n: int) -> Algorithm:
     final[writeback.target] = _tensor3(interfere, np.eye(2), np.eye(2))  # writeback after the interference
     steps.append(Unitary(final))
     accept = frozenset(np.flatnonzero(w == 1).tolist())
-    return Algorithm(layout, tuple(steps), accept, pairs)
+    return Algorithm(layout, tuple(steps), accept)
 
 
 def grover(n: int, iterations: int) -> Algorithm:
@@ -467,7 +461,7 @@ def grover(n: int, iterations: int) -> Algorithm:
     steps.append(Unitary(_tensor3(np.eye(n), _X2 @ _H2, np.eye(1))))
     steps.append(QUERY)
     accept = frozenset(np.flatnonzero(a == 1).tolist())
-    return Algorithm(layout, tuple(steps), accept, iterations + 1)
+    return Algorithm(layout, tuple(steps), accept)
 
 
 __all__ = [

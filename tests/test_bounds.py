@@ -19,6 +19,7 @@ from influence_lab.bounds import (
     query_lb_influence_best,
     query_lb_influence_k,
 )
+from influence_lab.dsl import elaborate
 from influence_lab.errors import CapacityError, InputError
 from influence_lab.oracles import flip_prob_bruteforce
 from influence_lab.truthtable import TruthTable, builtin, random_table
@@ -149,9 +150,25 @@ def test_query_lb_k_rejects_even():
 
 def test_query_lb_best_picks_smallest_tie():
     weights = fourier.wht(builtin("parity", 4)).weight_profile()
-    k_star, best = query_lb_influence_best(weights, 0.0, 15)
+    k_star, best = query_lb_influence_best(weights, 0.0)
     assert k_star == 1
     assert best.value == 2.0
+
+
+def test_no_odd_k_beats_k1(small_corpus):
+    # the theorem query_lb_influence_best rests on
+    tables = [t for ts in small_corpus.values() for t in ts]
+    for n in range(1, 13):
+        tables += [builtin("parity", n), builtin("and", n), builtin("or", n)]
+        if n % 2:
+            tables.append(builtin("maj", n))
+    tables += [builtin("paper_f", 4), elaborate("compose(maj(3),paper_f)"), elaborate("iterate(paper_f,2)")]
+    for t in tables:
+        weights = fourier.wht(t).weight_profile()
+        for eps in (0.0, 1e-6, 0.01, 0.1, 0.2, 0.2499):
+            k1 = query_lb_influence_k(weights, eps, 1).value
+            for k in range(3, 16, 2):
+                assert query_lb_influence_k(weights, eps, k).value <= k1 + 1e-12, (str(t), eps, k)
 
 
 def test_fixed_form_bounds():

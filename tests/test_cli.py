@@ -122,6 +122,21 @@ def test_analyze_usage_errors():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--expr", "x0", "--kmax", "3"),
+        ("analyze", "--expr", "x0", "--format", "text"),
+        ("simulate", "--algorithm", "parity", "--n", "4", "--no-gap-check"),
+    ],
+)
+def test_unknown_option_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_analyze_negative_bs_budget_is_usage_error():
     code, _ = run_cli("analyze", "--expr", "maj(x0,x1,x2)", "--bs-budget", "-1")
     assert code == 2
@@ -333,9 +348,3 @@ def test_consistency_error_exits_with_failure(monkeypatch, capsys):
     assert code == cli.EXIT_FAIL == 1
     assert err.startswith("error: state norm drifted")
     assert "Traceback" not in err
-
-
-def test_text_format_runs():
-    code, out = run_cli("analyze", "--expr", "x0 & x1", "--format", "text")
-    assert code == 0
-    assert "measures.rho" in out

@@ -22,7 +22,7 @@ def test_parse_precedence():
     left, right = ast.children
     assert left.kind == "not"
     assert left.children[0].kind == "and"
-    assert right == Node("var", 2, (), (0, 0))  # spans ignored in equality
+    assert right == Node("var", 2, ())
 
 
 def test_parse_precedence_chain():
@@ -54,19 +54,6 @@ def test_parse_error_positions():
         parse("(x0 & x1")
     with pytest.raises(ParseError):
         parse("")
-
-
-def test_spans_nest():
-    source = "!(x0 & x1) | maj(x0, x1, x2)"
-    ast = parse(source)
-    assert ast.span == (0, len(source))
-
-    def check(node):
-        for child in node.children:
-            assert node.span[0] <= child.span[0] <= child.span[1] <= node.span[1]
-            check(child)
-
-    check(ast)
 
 
 def test_elaborate_parity2():
@@ -175,21 +162,20 @@ def test_elaborate_errors():
 def random_ast(rng: random.Random, depth: int, n_vars: int) -> Node:
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.15:
-            return Node("const", rng.randint(0, 1), (), (0, 0))
-        return Node("var", rng.randrange(n_vars), (), (0, 0))
+            return Node("const", rng.randint(0, 1), ())
+        return Node("var", rng.randrange(n_vars), ())
     kind = rng.choice(["and", "or", "xor", "not", "call"])
     if kind == "not":
-        return Node("not", None, (random_ast(rng, depth - 1, n_vars),), (0, 0))
+        return Node("not", None, (random_ast(rng, depth - 1, n_vars),))
     if kind == "call":
         arity = rng.choice([1, 3])
         args = tuple(random_ast(rng, depth - 1, n_vars) for _ in range(arity))
         name = "maj" if arity == 3 else "parity"
-        return Node("call", name, args, (0, 0))
+        return Node("call", name, args)
     return Node(
         kind,
         None,
         (random_ast(rng, depth - 1, n_vars), random_ast(rng, depth - 1, n_vars)),
-        (0, 0),
     )
 
 

@@ -72,7 +72,7 @@ def test_initial_state():
     layout = RegisterLayout(3, 2)
     state = initial_state(layout)
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
-    assert state.support() == {0}
+    assert state.masks.tolist() == [0]
     assert state.queries_applied == 0
     for x in range(8):
         v = reconstruct(state, x)
@@ -83,8 +83,7 @@ def test_apply_unitary_identity_and_support():
     layout = RegisterLayout(2, 1)
     state = random_state(layout, [0b01, 0b10], 1)
     masks, before = state.masks.copy(), state.coeffs.copy()
-    apply_unitary(state, np.eye(layout.dim, dtype=complex))
-    assert state.support() == {0b01, 0b10}
+    apply_unitary(state, Unitary(np.eye(layout.dim, dtype=complex)))
     assert np.array_equal(state.masks, masks)
     assert np.allclose(state.coeffs, before)
     assert state.norm_sq() == pytest.approx(1.0, abs=1e-9)
@@ -99,7 +98,7 @@ def test_apply_unitary_matches_per_mask_product():
     for m in (real, cplx):
         state = random_state(layout, [0b000, 0b011, 0b101], 6)
         expected = [m @ v for v in state.coeffs]
-        apply_unitary(state, m)
+        apply_unitary(state, Unitary(m))
         for j, v in enumerate(expected):
             assert np.max(np.abs(state.coeffs[j] - v)) < 1e-12
 
@@ -109,9 +108,9 @@ def test_apply_unitary_rejects_non_unitary():
     state = initial_state(layout)
     bad = np.eye(layout.dim) * 1.001
     with pytest.raises(InputError):
-        apply_unitary(state, bad)
+        apply_unitary(state, Unitary(bad))
     with pytest.raises(InputError):
-        apply_unitary(state, np.eye(3))
+        apply_unitary(state, Unitary(np.eye(3)))
 
 
 def test_unitary_validated_when_built():
@@ -120,8 +119,6 @@ def test_unitary_validated_when_built():
     shear[0, 1] = 0.5
     with pytest.raises(InputError, match="not unitary"):
         Unitary(shear)
-    with pytest.raises(InputError, match="not unitary"):
-        apply_unitary(initial_state(layout), shear)
     with pytest.raises(InputError, match="square"):
         Unitary(np.ones((2, 3)))
 
@@ -133,7 +130,7 @@ def test_permutation_validated_when_built():
     layout = RegisterLayout(2, 1)
     wrong_length = Permutation(np.arange(layout.dim + 1))
     with pytest.raises(InputError, match="dimension"):
-        Algorithm(layout, (wrong_length,), frozenset(), 0)
+        Algorithm(layout, (wrong_length,), frozenset())
     with pytest.raises(InputError, match="dimension"):
         apply_unitary(initial_state(layout), wrong_length)
 
@@ -155,7 +152,7 @@ def test_permutation_matches_dense_route():
         expected = state.coeffs @ p.T
         apply_unitary(state, Permutation(target))
         assert np.array_equal(state.coeffs, expected)
-        alg = Algorithm(layout, (Permutation(target),), frozenset(), 0)
+        alg = Algorithm(layout, (Permutation(target),), frozenset())
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
         assert np.array_equal(simulate_direct(alg, 0), p @ v)
@@ -187,7 +184,7 @@ def test_query_leaves_answer_plus_alone():
     v[layout.basis_index(2, 1, 0)] = 1 / SQRT2
     state.coeffs = v[None, :]
     apply_query(state)
-    assert state.support() == {0}
+    assert state.masks.tolist() == [0]
     assert np.allclose(state.coeffs[0], v, atol=1e-12)
     assert state.queries_applied == 1
 
@@ -200,7 +197,7 @@ def test_query_pure_kickback_moves_mask():
     v[layout.basis_index(3, 1, 0)] = -1 / SQRT2  # answer-minus at index 3
     state.coeffs = v[None, :]
     apply_query(state)
-    assert state.support() == {0b1000}
+    assert state.masks.tolist() == [0b1000]
     assert np.allclose(state.coeffs[0], v, atol=1e-12)
 
 
@@ -225,16 +222,15 @@ def test_support_grows_by_at_most_one_per_query():
     apply_query(state)
     assert all(
         min(bin(s ^ old).count("1") for old in (0b000, 0b011)) <= 1
-        for s in state.support()
+        for s in state.masks.tolist()
     )
 
 
 def test_algorithm_declared_queries_checked():
     layout = RegisterLayout(2, 1)
+    assert Algorithm(layout, (QUERY, Unitary(np.eye(layout.dim)), QUERY), frozenset()).queries == 2
     with pytest.raises(InputError):
-        Algorithm(layout, (QUERY,), frozenset(), 2)
-    with pytest.raises(InputError):
-        Algorithm(layout, (Unitary(np.eye(3)),), frozenset(), 0)
+        Algorithm(layout, (Unitary(np.eye(3)),), frozenset())
 
 
 def test_run_invariants_on_builtins():
@@ -286,15 +282,17 @@ def test_fourier_matches_direct_all_oracles():
 def test_serial_read_exact_for_any_function():
     for n in (2, 3, 4):
         t = random_table(n, 17 + n)
-        prof = error_profile(serial_read(t), t)
-        assert prof.queries == n
+        alg = serial_read(t)
+        prof = error_profile(alg, t)
+        assert alg.queries == n
         assert prof.worst < 1e-9
 
 
 def test_serial_read_and2():
     and2 = TruthTable.from_bits([0, 0, 0, 1])
-    prof = error_profile(serial_read(and2), and2)
-    assert prof.queries == 2
+    alg = serial_read(and2)
+    prof = error_profile(alg, and2)
+    assert alg.queries == 2
     assert prof.worst < 1e-9
 
 
@@ -328,11 +326,12 @@ def test_serial_read_capacity():
 
 def test_deutsch_parity_exact_at_half_queries():
     for n in (2, 4, 6):
-        prof = error_profile(deutsch_parity(n), builtin("parity", n))
-        assert prof.queries == n // 2
+        alg = deutsch_parity(n)
+        prof = error_profile(alg, builtin("parity", n))
+        assert alg.queries == n // 2
         assert prof.worst < 1e-9
         # tight against the influence bound at eps = 0
-        assert prof.queries == bounds.query_lb_influence(1.0, n, 0.0).value
+        assert alg.queries == bounds.query_lb_influence(1.0, n, 0.0).value
     with pytest.raises(InputError):
         deutsch_parity(3)
 
