@@ -206,7 +206,7 @@ class DegreeScan:
         return self.polynomials[self.degree]
 
 
-def approx_degree_scan(t: TruthTable, eps: float, max_degree: int | None = None) -> DegreeScan:
+def approx_degree_scan(t: TruthTable, eps: float) -> DegreeScan:
     """Smallest d with t*_d <= eps + 1e-9, by walking up from a certified floor.
 
     t*_d is nonincreasing in d (a lower degree bound only removes freedom).
@@ -222,12 +222,9 @@ def approx_degree_scan(t: TruthTable, eps: float, max_degree: int | None = None)
     """
     if not 0 <= eps < 0.5:
         raise InputError(f"error probability must be in [0, 0.5), got {eps}")
-    if max_degree is not None and max_degree < 0:
-        raise InputError(f"degree must be in 0..{t.n}, got {max_degree}")
     spec = wht(t)
     deg = spectral_degree(spec)
-    hi = deg if max_degree is None else min(max_degree, t.n)
-    scan = DegreeScan(degree=hi, exact_degree=deg)
+    scan = DegreeScan(degree=deg, exact_degree=deg)
     threshold = eps + FEAS_TOL
     size = 1 << t.n
     # f's own 0/1 expansion, f = (1 - F)/2 for the sign view F; exact, since its coefficients are dyadic
@@ -248,13 +245,9 @@ def approx_degree_scan(t: TruthTable, eps: float, max_degree: int | None = None)
     # 1 + the largest degree whose certificate rules it out, compared exactly
     bound = Fraction(threshold)
     d = next((low + 1 for low in reversed(range(deg)) if minimax_error_floor(spec, low) > bound), 0)
-    while d <= hi and solved(d) > threshold:
+    # ends by d = deg f at the latest, where t*_d = 0
+    while solved(d) > threshold:
         d += 1
-    if d > hi:
-        raise SolverError(
-            f"no polynomial of degree <= {hi} reaches error {eps}"
-            + (" (max_degree cap)" if max_degree is not None else "")
-        )
     scan.degree = d
     if d > 0:
         solved(d - 1)

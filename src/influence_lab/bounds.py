@@ -106,7 +106,7 @@ def query_lb_influence_k(weights: Sequence[int], eps: float, k: int) -> BoundVal
 
 
 def query_lb_influence_best(weights: Sequence[int], eps: float) -> tuple[int, BoundValue]:
-    """The best odd k and its bound: (1, query_lb_influence_k(weights, eps, 1)).
+    """The best odd k and its bound: k = 1 and the paper's query_lb_influence.
 
     No odd k beats k = 1. For eps < 1/4 the radicand at odd k is E[X^k], where
     X = 1 with probability (1 + 2 sqrt(eps))/2 and X = 1 - 2j/n with
@@ -117,7 +117,7 @@ def query_lb_influence_best(weights: Sequence[int], eps: float) -> tuple[int, Bo
     gives E[X^k] >= E[X]^k, so radicand_k^(1/k) >= radicand_1. From eps = 1/4
     on every k is vacuous.
     """
-    return 1, query_lb_influence_k(weights, eps, 1)
+    return 1, query_lb_influence(float(flip_prob_spectral(weights, 1)), len(weights) - 1, eps)
 
 
 def query_lb_block_sensitivity(bs: float) -> float:
@@ -184,7 +184,7 @@ def bound_report(
     best_k, best = query_lb_influence_best(weights, eps)
     return BoundReport(
         eps=eps,
-        query_influence=query_lb_influence(rho, n, eps),
+        query_influence=best,
         query_influence_best_k=best_k,
         query_influence_best=best,
         query_block_sensitivity=(

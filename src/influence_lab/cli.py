@@ -138,7 +138,7 @@ def cmd_analyze(args) -> dict:
     approx_d = None
     if args.approx_degree:
         with timer.stage("approx_degree"):
-            scan = approxdeg.approx_degree_scan(t, args.eps, args.max_degree)
+            scan = approxdeg.approx_degree_scan(t, args.eps)
             approx_d = scan.degree
             approx_section = _scan_section(scan, t)
     with timer.stage("bounds"):
@@ -164,7 +164,7 @@ def cmd_approx_degree(args) -> dict:
     timer = _Timer(args.timing)
     t, source = _load_table(args)
     with timer.stage("scan"):
-        scan = approxdeg.approx_degree_scan(t, args.eps, args.max_degree)
+        scan = approxdeg.approx_degree_scan(t, args.eps)
     report = {
         "schema": 1,
         "input": source,
@@ -205,10 +205,9 @@ def cmd_simulate(args) -> dict:
     # in the bounds would otherwise amplify the float dust. Dust above 1 is
     # an error probability of 1.
     eps_measured = 0.0 if profile.worst < 1e-9 else min(profile.worst, 1.0)
-    ks = args.k or [1, 3]
     weights = fourier.wht(table).weight_profile()
     displacement = []
-    for k in sorted(set(ks)):
+    for k in (1, 3):
         displacement.append(
             {
                 "k": k,
@@ -288,11 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="measures, spectrum, and lower bounds")
     add_function_source(p)
-    p.add_argument("--eps", type=float, default=1 / 3)
+    p.add_argument(
+        "--eps",
+        type=float,
+        default=1 / 3,
+        help="allowed error probability (default 1/3); the influence query bound needs eps < 1/4, "
+        "so at the default both influence query fields read 0.0 and are flagged vacuous",
+    )
     p.add_argument("--no-bs", action="store_true", help="skip block sensitivity")
     p.add_argument("--bs-budget", type=float, default=None, help="block-sensitivity time budget in seconds")
     p.add_argument("--approx-degree", action="store_true", help="also run the LP degree scan")
-    p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--dump-spectrum", action="store_true", help="include every nonzero coefficient")
     add_common(p)
     p.set_defaults(fn=cmd_analyze)
@@ -300,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx-degree", help="minimax approximate degree by LP")
     add_function_source(p)
     p.add_argument("--eps", type=float, default=1 / 3)
-    p.add_argument("--max-degree", type=int, default=None)
     add_common(p)
     p.set_defaults(fn=cmd_approx_degree)
 
@@ -308,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=("serial", "parity", "grover"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--iterations", type=int, default=1, help="grover iterations")
-    p.add_argument("--k", type=int, action="append", help="odd k for displacement statistics (repeatable)")
     add_function_source(p)
     add_common(p)
     p.set_defaults(fn=cmd_simulate)

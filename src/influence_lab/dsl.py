@@ -195,33 +195,6 @@ def parse(source: str) -> Node:
     return _Parser(source).parse()
 
 
-_PREC = {"or": 1, "xor": 2, "and": 3, "not": 4, "var": 5, "const": 5, "call": 5}
-_OP_TEXT = {"or": "|", "xor": "^", "and": "&"}
-
-
-def unparse(node: Node) -> str:
-    """Canonical rendering; parse(unparse(ast)) reproduces the ast."""
-
-    def wrap(child: Node, need: int) -> str:
-        text = unparse(child)
-        return f"({text})" if _PREC[child.kind] < need else text
-
-    if node.kind == "var":
-        return f"x{node.value}"
-    if node.kind == "const":
-        return str(node.value)
-    if node.kind == "not":
-        return "!" + wrap(node.children[0], _PREC["not"])
-    if node.kind == "call":
-        if not node.children:
-            return str(node.value)
-        return f"{node.value}(" + ", ".join(unparse(c) for c in node.children) + ")"
-    prec = _PREC[node.kind]
-    left = wrap(node.children[0], prec)
-    right = wrap(node.children[1], prec + 1)  # right sibling re-parenthesized to keep shape
-    return f"{left} {_OP_TEXT[node.kind]} {right}"
-
-
 def _is_function_literal(node: Node) -> bool:
     if node.kind != "call":
         return False
@@ -333,24 +306,4 @@ def elaborate(source: str) -> TruthTable:
     return elaborate_node(parse(source))
 
 
-def render_minterms(t: TruthTable) -> str:
-    """XOR-of-minterms rendering; elaborate(render_minterms(t)) == t.
-
-    Every minterm mentions all variables, so variable contiguity always
-    holds. The all-zero table has no minterms and cannot be rendered at the
-    same variable count; callers must special-case it.
-    """
-    terms = []
-    for x in range(t.size):
-        if t.bit_at(x):
-            lits = [
-                f"x{i}" if (x >> i) & 1 else f"!x{i}"
-                for i in range(t.n)
-            ]
-            terms.append(" & ".join(lits))
-    if not terms:
-        raise InputError("the all-zero table has no minterm rendering")
-    return " ^ ".join(f"({term})" for term in terms)
-
-
-__all__ = ["Node", "Token", "elaborate", "elaborate_node", "parse", "render_minterms", "unparse"]
+__all__ = ["Node", "elaborate", "parse"]

@@ -188,19 +188,6 @@ def test_scan_walks_up_from_the_spectral_floor(solves):
     assert (scan.degree, solves) == (3, [1, 2, 3])
 
 
-def test_scan_cap_below_the_floor_raises_before_any_solve(solves):
-    with pytest.raises(SolverError):
-        approx_degree_scan(builtin("parity", 4), 0.0, max_degree=2)
-    assert solves == []
-    # a cap between the floor and the answer raises once the walk passes it
-    with pytest.raises(SolverError):
-        approx_degree_scan(builtin("maj", 7), 0.3333, max_degree=2)
-    assert solves == [1, 2]
-    assert approx_degree_scan(builtin("maj", 7), 0.3333, max_degree=3).degree == 3
-    with pytest.raises(InputError):
-        approx_degree_scan(OR2, 0.1, max_degree=-1)
-
-
 def test_scan_knows_t0_without_highs(solves, monkeypatch):
     calls, solve = [], approxdeg.linprog
 
@@ -379,11 +366,6 @@ def test_polynomial_respects_degree_bound():
         MultilinearPoly(3, np.eye(8)[0b111], 2)
     with pytest.raises(InputError):
         MultilinearPoly(3, np.ones(4), 3)
-
-
-def test_scan_respects_max_degree_cap():
-    with pytest.raises(SolverError):
-        approx_degree_scan(builtin("parity", 4), 0.0, max_degree=2)
 
 
 def test_lp_capacity():

@@ -155,6 +155,14 @@ def test_query_lb_best_picks_smallest_tie():
     assert best.value == 2.0
 
 
+def test_query_lb_best_is_exact_to_the_ulp():
+    # (1 - 2 sqrt(0.1))/2 * rho * n for or(16), rho = 2^-15, is 8.97325361245908529...e-05 in
+    # 50-digit Decimal; a route through 1 - radicand cancels when rho is this small
+    weights = fourier.wht(builtin("or", 16)).weight_profile()
+    exact = 8.973253612459085e-05
+    assert abs(query_lb_influence_best(weights, 0.1)[1].value - exact) <= math.ulp(exact)
+
+
 def test_no_odd_k_beats_k1(small_corpus):
     # the theorem query_lb_influence_best rests on
     tables = [t for ts in small_corpus.values() for t in ts]
@@ -225,6 +233,7 @@ def test_bound_report_reads_the_counting_rho(small_corpus):
             for eps in (0.0, 0.1, 1 / 3, 0.6):
                 report = bound_report(weights, eps)
                 assert report.query_influence == query_lb_influence(rho, t.n, eps)
+                assert report.query_influence_best == report.query_influence
                 assert report.degree_influence == (degree_lb_influence(rho, t.n, eps) if eps < 0.5 else 0.0)
 
 

@@ -128,6 +128,9 @@ def test_analyze_usage_errors():
         ("analyze", "--expr", "x0", "--kmax", "3"),
         ("analyze", "--expr", "x0", "--format", "text"),
         ("simulate", "--algorithm", "parity", "--n", "4", "--no-gap-check"),
+        ("analyze", "--expr", "x0", "--max-degree", "2"),
+        ("approx-degree", "--expr", "x0", "--max-degree", "2"),
+        ("simulate", "--algorithm", "parity", "--n", "4", "--k", "3"),
     ],
 )
 def test_unknown_option_is_usage_error(argv, capsys):
@@ -209,9 +212,7 @@ def test_simulate_grover():
 
 def test_simulate_more_queries_than_variables():
     # 3 Grover iterations on 3 variables make 4 queries; the displacement cap is then 4
-    report = run_json(
-        "simulate", "--algorithm", "grover", "--n", "3", "--iterations", "3", "--k", "1", "--k", "3"
-    )
+    report = run_json("simulate", "--algorithm", "grover", "--n", "3", "--iterations", "3")
     assert report["queries"] == 4
     assert [entry["k"] for entry in report["displacement"]] == [1, 3]
     for entry in report["displacement"]:
