@@ -236,32 +236,68 @@ def _collect_vars(node: Node, out: set) -> None:
         _collect_vars(child, out)
 
 
-def _column(n: int, v: int) -> np.ndarray:
-    """x_v = (idx >> v) & 1 at every index of an n-variable table, as uint8."""
-    column = np.zeros((1 << (n - 1 - v), 2, 1 << v), dtype=np.uint8)
-    column[:, 1, :] = 1
+_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+# _HIGH[v]: the bits of a 64-input word whose index has x_v = 1, for v < 6
+_HIGH = tuple(np.uint64(m) for m in (
+    0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+))
+_WORD_OPS = {"and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor}
+
+
+def _column(words: int, v: int) -> np.ndarray:
+    """x_v at every input, packed 64 inputs to a uint64 word, LSB first."""
+    if v < 6:
+        return np.full(words, _HIGH[v], dtype=np.uint64)
+    # x_v is bit v - 6 of the word index: runs of 2^(v-6) zero and all-ones words
+    column = np.zeros((words >> (v - 5), 2, 1 << (v - 6)), dtype=np.uint64)
+    column[:, 1, :] = _ONES
     return column.reshape(-1)
 
 
-def _eval_formula(node: Node, n: int) -> np.ndarray:
-    """Every value is a bit in a uint8 array; a leaf builds its column when it is read."""
+def _apply_table(sub: np.ndarray, args: list[np.ndarray], memo: dict[bytes, np.ndarray]) -> np.ndarray:
+    """A table's output at the argument words, as a decision diagram over its subtables.
+
+    sub is indexed by the argument bits, args[0] lowest. Splitting on the top
+    argument halves a subtable; memo holds one word array per distinct
+    subtable, keyed by its bytes, so a symmetric table costs O(arity^2) word
+    operations.
+    """
+    key = sub.tobytes()
+    if key not in memo:
+        if sub.size == 1:
+            memo[key] = np.full(args[0].size, _ONES if sub[0] else 0, dtype=np.uint64)
+        else:
+            half = sub.size >> 1
+            lo, hi = _apply_table(sub[:half], args, memo), _apply_table(sub[half:], args, memo)
+            if lo is hi:
+                memo[key] = lo
+            else:
+                # hi where the argument is set, lo elsewhere: lo ^ (c & (hi ^ lo)), one new array
+                out = np.bitwise_xor(hi, lo)
+                out &= args[half.bit_length() - 1]
+                memo[key] = np.bitwise_xor(out, lo, out=out)
+    return memo[key]
+
+
+def _eval_formula(node: Node, words: int) -> np.ndarray:
+    """Every value is uint64 words, 64 inputs each; a leaf builds its column when it is read."""
     kind = node.kind
     if kind == "var":
-        return _column(n, node.value)
+        return _column(words, node.value)
     if kind == "const":
         if node.value not in (0, 1):
             raise InputError(
                 f"integer literal {node.value} is only valid as a builtin argument"
             )
-        return np.full(1 << n, node.value, dtype=np.uint8)
+        return np.full(words, _ONES if node.value else 0, dtype=np.uint64)
+    # every value returned here is a fresh array owned by the caller, so operators work in place
     if kind == "not":
-        return 1 - _eval_formula(node.children[0], n)
-    if kind == "and":
-        return _eval_formula(node.children[0], n) & _eval_formula(node.children[1], n)
-    if kind == "or":
-        return _eval_formula(node.children[0], n) | _eval_formula(node.children[1], n)
-    if kind == "xor":
-        return _eval_formula(node.children[0], n) ^ _eval_formula(node.children[1], n)
+        value = _eval_formula(node.children[0], words)
+        return np.invert(value, out=value)
+    if kind in _WORD_OPS:
+        value = _eval_formula(node.children[0], words)
+        return _WORD_OPS[kind](value, _eval_formula(node.children[1], words), out=value)
     if kind == "call":
         name = node.value
         if name not in _FUNCTION_NAMES:
@@ -272,12 +308,8 @@ def _eval_formula(node: Node, n: int) -> np.ndarray:
         if arity == 0:
             raise InputError(f"{name} needs arguments when used inside a formula")
         table = builtin(name, arity)
-        # the argument index needs arity <= MAX_VARS bits: the narrowest unsigned type that holds them
-        dtype = np.min_scalar_type((1 << arity) - 1)
-        packed = np.zeros(1 << n, dtype=dtype)
-        for j, child in enumerate(node.children):
-            packed |= np.left_shift(_eval_formula(child, n), j, dtype=dtype)
-        return table.bits()[packed]
+        args = [_eval_formula(child, words) for child in node.children]
+        return _apply_table(table.bits(), args, {})
     raise InputError(f"cannot evaluate node kind {kind!r}")
 
 
@@ -299,7 +331,11 @@ def elaborate_node(node: Node) -> TruthTable:
             raise CapacityError(f"formula uses {n} variables, cap is {MAX_VARS}")
     else:
         n = 1  # constant formulas become 1-variable constant tables
-    return TruthTable.from_bit_array(_eval_formula(node, n))
+    words = _eval_formula(node, max(1, (1 << n) >> 6))
+    packed = int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
+    if n < 6:  # the one word holds 2^n inputs; the bits above them are dropped here
+        packed &= (1 << (1 << n)) - 1
+    return TruthTable(n, packed)
 
 
 def elaborate(source: str) -> TruthTable:

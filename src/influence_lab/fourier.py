@@ -152,6 +152,12 @@ def nonzero_entries(spec: FourierSpectrum) -> list[dict]:
 
 def top_entries(spec: FourierSpectrum, count: int) -> list[dict]:
     """The count largest |coefficients| in export form; ties go to the smaller mask."""
+    nonzero = int(np.count_nonzero(spec.sums))
+    # measured at n = 16..20: with more than half the masks nonzero, partitioning
+    # all of |sums| is 2-3x faster and smaller than gathering the nonzeros first;
+    # with a quarter or less it is several times slower, as the zeros slow the partition
+    if 0 < count < nonzero and 2 * nonzero > spec.sums.size:
+        return _top_entries_dense(spec, count)
     masks = np.flatnonzero(spec.sums)
     magnitudes = np.abs(spec.sums[masks])
     if 0 < count < masks.size:
@@ -161,6 +167,19 @@ def top_entries(spec: FourierSpectrum, count: int) -> list[dict]:
         keep = magnitudes >= np.partition(magnitudes, kth)[kth]
         masks, magnitudes = masks[keep], magnitudes[keep]
     order = np.lexsort((masks, -magnitudes))
+    return _entries(spec, masks[order[:count]])
+
+
+def _top_entries_dense(spec: FourierSpectrum, count: int) -> list[dict]:
+    """top_entries with more than count nonzeros, partitioning |sums| in one full-size buffer."""
+    magnitudes = np.abs(spec.sums)
+    kth = magnitudes.size - count
+    magnitudes.partition(kth)
+    # the count-th largest magnitude; nonzero, since more than count masks are
+    cut = magnitudes[kth]
+    np.abs(spec.sums, out=magnitudes)
+    masks = np.flatnonzero(magnitudes >= cut)
+    order = np.lexsort((masks, -magnitudes[masks]))
     return _entries(spec, masks[order[:count]])
 
 

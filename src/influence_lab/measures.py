@@ -35,25 +35,33 @@ no scan order can move it.
 
 Only one input per orbit is scanned. Exchanging two interchangeable variables
 (symmetry_classes) maps sensitive blocks at x to sensitive blocks at the image
-of x, so bs is the same across an orbit, and the orbit's smallest index, whose
-ones fill the lowest-indexed members of each class, stands for it. The minima
-are built from the classes, and sensitive coordinates are found at them alone.
+of x, and so does a translation x -> x ^ a under which f is invariant or
+complemented (f(x ^ a) = f(x) at every x, or != at every x): the blocks that
+flip f at x flip it at x ^ a. So bs is the same across an orbit of the group
+both generate, and the orbit's smallest index stands for it. The translations
+are read off the table's squared spectrum; those constant on every class
+commute with the exchanges, and the orbit minima are built from the exchange
+minima, whose ones fill the lowest-indexed members of each class, merged along
+each translation. Sensitive coordinates are found at the minima alone.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import fourier
 from .errors import CapacityError
 from .truthtable import TruthTable
 
-# with no interchangeable pair of variables the scan visits all 2^16 inputs: about 1 s for
-# iterate(paper_f, 2) (bs 9), and longer when bs is far below n/2 so the ceiling never prunes
+# with no exchange or translation symmetry the scan visits all 2^16 inputs, and it is
+# slowest when bs is far below n/2 so the ceiling never prunes; iterate(paper_f, 2)
+# (bs 9) has 64 translations and scans 1024 orbit minima in about 0.06 s
 BS_EXACT_MAX_VARS = 16
 # the block-sensitivity scan gathers inputs x subsets in batches: about 2^18
 # elements keeps the index array in cache, and at least 16 inputs spreads each
@@ -74,7 +82,8 @@ class BlockSensitivityResult:
     witness_input: int  # the smallest input index attaining value
     witness_blocks: tuple[int, ...]  # disjoint variable masks, each flips f at the witness
     # orbit minima whose candidate blocks were computed; the other minima were pruned, and
-    # the rest of the inputs share their orbit's bs (at most prod(|C| + 1) over symmetry_classes)
+    # the rest of the inputs share their orbit's bs. prod(|C| + 1) over symmetry_classes is
+    # only an upper bound: each independent translation can halve it
     inputs_scanned: int
 
 
@@ -175,17 +184,56 @@ def symmetry_classes(t: TruthTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in classes)
 
 
-def _orbit_minima(classes: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Ascending inputs whose ones fill, in every class, its lowest-indexed members.
+def _translation_basis(t: TruthTable, classes: tuple[tuple[int, ...], ...]) -> list[int]:
+    """A basis of the a constant on every class with f(x ^ a) = f(x) at every x, or != at every x.
 
-    Those are the smallest indices of the orbits under exchanges within classes,
-    one per orbit: the OR of one prefix of each class, prod(|C| + 1) of them.
+    With F the sign view, r = butterfly(sums^2) has r[a] = 2^n sum_x F(x) F(x ^ a),
+    so |r[a]| = 4^n exactly for those a. Every partial sum of the butterfly is at
+    most sum_s sums[s]^2 = 4^n <= 2^32 in magnitude, so int64 is exact. The a
+    found form a subspace, and its ascending elements count in binary over its
+    reduced row-echelon basis, so the elements at positions 1, 2, 4, ... are one.
     """
-    minima = np.zeros(1, dtype=np.int64)
+    sums = fourier.wht(t).sums
+    r = fourier.butterfly(sums * sums)
+    found = np.flatnonzero(np.abs(r) == 1 << (2 * t.n))
     for c in classes:
-        prefixes = np.cumsum([0] + [1 << v for v in c], dtype=np.int64)
-        minima = (minima[:, None] | prefixes[None, :]).ravel()
-    return np.sort(minima)
+        mask = sum(1 << v for v in c)
+        part = found & mask
+        found = found[(part == 0) | (part == mask)]
+    return [int(found[1 << k]) for k in range((found.size - 1).bit_length())]
+
+
+def _orbit_minima(t: TruthTable, classes: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Ascending smallest inputs of the orbits under exchanges within classes and the translations.
+
+    The exchange orbits' minima fill, in every class, its lowest-indexed
+    members: the OR of one prefix of each class, prod(|C| + 1) of them. A
+    translation a from _translation_basis is constant on every class, so it
+    commutes with the exchanges and maps exchange orbits to exchange orbits:
+    the one of m to that of canonical(m ^ a). Each basis vector in turn merges
+    labels along that map, and since the translations commute, after the last
+    one every label is the smallest index of its whole orbit.
+    """
+    # per class, entry k is the mask of its k lowest-indexed members
+    prefixes = [np.cumsum([0] + [1 << v for v in c], dtype=np.int64) for c in classes]
+    minima = np.zeros(1, dtype=np.int64)
+    for p in prefixes:
+        minima = (minima[:, None] | p[None, :]).ravel()
+    minima.sort()
+    basis = _translation_basis(t, classes)
+    if not basis:
+        return minima
+    # singleton classes are already canonical; the others move their ones down
+    wide = [(p[-1], p) for p in prefixes if p.size > 2]
+    fixed = (1 << t.n) - 1 - sum(int(m) for m, _ in wide)
+    labels = np.arange(minima.size)
+    for a in basis:
+        image = minima ^ a
+        canonical = image & fixed
+        for mask, p in wide:
+            canonical |= p[np.bitwise_count(image & mask)]
+        labels = np.minimum(labels, labels[np.searchsorted(minima, canonical)])
+    return minima[labels == np.arange(minima.size)]
 
 
 def _sensitive_masks(t: TruthTable, xs: np.ndarray) -> np.ndarray:
@@ -198,14 +246,17 @@ def _sensitive_masks(t: TruthTable, xs: np.ndarray) -> np.ndarray:
     return masks
 
 
+@cache
+def _subset_bits(m: int) -> np.ndarray:
+    """Row j, column b: bit b of j, for every j < 2^m; int64, read-only."""
+    bits = (np.arange(1 << m, dtype=np.int64)[:, None] >> np.arange(m)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
 def _spread_table(free_coords: tuple[int, ...]) -> np.ndarray:
     """All subsets of the given coordinates as masks, indexed compactly."""
-    m = len(free_coords)
-    sub = np.arange(1 << m, dtype=np.int64)
-    spread = np.zeros(1 << m, dtype=np.int64)
-    for b, coord in enumerate(free_coords):
-        spread |= ((sub >> b) & 1) << coord
-    return spread
+    return _subset_bits(len(free_coords)) @ (np.int64(1) << np.array(free_coords, dtype=np.int64))
 
 
 def _subcube_candidates(bits: np.ndarray, xs: np.ndarray, spread: np.ndarray) -> list[list[int]]:
@@ -295,9 +346,9 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
     bits = t.bits()
     n = t.n
     # bs_x is the same at every input of an orbit under exchanges of
-    # interchangeable variables, and an orbit's minimum is its smallest index,
-    # so scanning the minima alone keeps the value and the witness
-    reps = _orbit_minima(symmetry_classes(t))
+    # interchangeable variables and the translations, so scanning each orbit's
+    # smallest index alone keeps the value and the witness
+    reps = _orbit_minima(t, symmetry_classes(t))
     rep_masks = _sensitive_masks(t, reps)
     # one sort: most sensitive coordinates first, the inputs sharing a mask
     # contiguous, indices ascending within each mask (lexsort is stable)

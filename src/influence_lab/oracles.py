@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import qsim
+from . import dsl, qsim
 from .approxdeg import MultilinearPoly
 from .errors import CapacityError, InputError
 from .truthtable import TruthTable
@@ -39,16 +39,35 @@ def tabulate(n: int, fn) -> TruthTable:
     return TruthTable(n, packed)
 
 
+# each pointwise builtin on a tuple of argument bits, x_0 first
+_POINTWISE = {
+    "maj": lambda x: int(x.count(1) > x.count(0)),
+    "parity": lambda x: sum(x) & 1,
+    "and": lambda x: int(all(x)),
+    "or": lambda x: int(any(x)),
+    # the paper's x0*(x1 - x2)^2 + (1 - x0)*(x2 - x3)^2, in integer arithmetic
+    "paper_f": lambda x: x[0] * (x[1] - x[2]) ** 2 + (1 - x[0]) * (x[2] - x[3]) ** 2,
+}
+
+
 def builtin_references() -> list[tuple[str, int, TruthTable]]:
     """(name, n, pointwise table) for every builtin family at small sizes."""
-    refs = [("maj", n, tabulate(n, lambda x: int(x.count(1) > x.count(0)))) for n in (1, 3, 5, 7, 9)]
-    refs += [("parity", n, tabulate(n, lambda x: sum(x) & 1)) for n in range(1, 11)]
-    refs += [("and", n, tabulate(n, lambda x: int(all(x)))) for n in (1, 2, 5)]
-    refs += [("or", n, tabulate(n, lambda x: int(any(x)))) for n in (1, 2, 5)]
-    # the paper's x0*(x1 - x2)^2 + (1 - x0)*(x2 - x3)^2, in integer arithmetic
-    paper_f = tabulate(4, lambda x: x[0] * (x[1] - x[2]) ** 2 + (1 - x[0]) * (x[2] - x[3]) ** 2)
-    refs.append(("paper_f", 4, paper_f))
-    return refs
+    sizes = {"maj": (1, 3, 5, 7, 9), "parity": range(1, 11), "and": (1, 2, 5), "or": (1, 2, 5), "paper_f": (4,)}
+    return [(name, n, tabulate(n, _POINTWISE[name])) for name, ns in sizes.items() for n in ns]
+
+
+def formula_value(node: dsl.Node, x: tuple[int, ...]) -> int:
+    """A parsed formula's bit at one input, by walking the tree; the reference for dsl.elaborate."""
+    if node.kind == "var":
+        return x[node.value]
+    if node.kind == "const":
+        return node.value
+    bits = tuple(formula_value(child, x) for child in node.children)
+    if node.kind == "not":
+        return 1 - bits[0]
+    if node.kind == "call":
+        return _POINTWISE[node.value](bits)
+    return {"and": bits[0] & bits[1], "or": bits[0] | bits[1], "xor": bits[0] ^ bits[1]}[node.kind]
 
 
 def wht_direct(t: TruthTable) -> np.ndarray:
@@ -146,6 +165,20 @@ def symmetry_classes_naive(t: TruthTable) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted({tuple(j for j in range(t.n) if j == i or exchangeable(i, j)) for i in range(t.n)}))
 
 
+def translations_naive(t: TruthTable) -> tuple[int, ...]:
+    """Every a with f(x ^ a) = f(x) at all x, or != at all x, by comparing the table with each shift.
+
+    The reference for measures._translation_basis, which finds them from the
+    squared spectrum.
+    """
+    if t.n > 12:
+        raise CapacityError("naive translation search is capped at n=12")
+    bits = t.bits()
+    idx = np.arange(t.size)
+    shifted = (bits != bits[idx ^ a] for a in range(t.size))
+    return tuple(a for a, differs in enumerate(shifted) if differs.all() or not differs.any())
+
+
 def _require_odd(k: int) -> None:
     if k < 1 or k % 2 == 0:
         raise InputError(f"k must be a positive odd integer, got {k}")
@@ -235,11 +268,13 @@ __all__ = [
     "builtin_references",
     "displacement_direct",
     "flip_prob_bruteforce",
+    "formula_value",
     "gap_check_direct",
     "mean_square_flip",
     "sensitivity_at",
     "sensitivity_profile",
     "symmetry_classes_naive",
     "tabulate",
+    "translations_naive",
     "wht_direct",
 ]

@@ -76,6 +76,20 @@ def _max_sensitivity_matches(t) -> bool:
     return measures.max_sensitivity(t) == (int(profile.max()), int(np.argmax(profile)))
 
 
+def _translations_match(t) -> bool:
+    """The basis spans exactly the brute-force translations that are constant on every class."""
+    classes = measures.symmetry_classes(t)
+    basis = measures._translation_basis(t, classes)
+    span = {0}
+    for a in basis:
+        span |= {s ^ a for s in span}
+    naive = {
+        a for a in oracles.translations_naive(t)
+        if all(len({(a >> v) & 1 for v in c}) == 1 for c in classes)
+    }
+    return span == naive and len(span) == 1 << len(basis)
+
+
 def suite_measures(n_max: int, seed: int, samples: int) -> list[Check]:
     cases = [(t, fourier.wht(t)) for t in _tables(n_max, seed, samples)]
     rho = (
@@ -99,6 +113,10 @@ def suite_measures(n_max: int, seed: int, samples: int) -> list[Check]:
         for t, _ in cases
         if t.n <= 8 and measures.symmetry_classes(t) != oracles.symmetry_classes_naive(t)
     )
+    # random tables rarely have a translation; parity has every a, maj the all-ones one
+    labeled = [(table_id(t), t) for t, _ in cases if t.n <= 8]
+    labeled += [(f"{name}({n})", builtin(name, n)) for name, n, _ in oracles.builtin_references() if n <= 8]
+    translations = (label for label, t in labeled if not _translations_match(t))
     return [
         _check("measures", "counting influence equals spectral influence", rho),
         _check("measures", "average sensitivity equals rho * n", avg_sens),
@@ -106,6 +124,7 @@ def suite_measures(n_max: int, seed: int, samples: int) -> list[Check]:
         _check("measures", "max sensitivity and its witness match the unpacked profile", max_sens),
         _check("measures", "block sensitivity matches naive packing", bs),
         _check("measures", "symmetry classes match the brute-force transposition search", symmetry),
+        _check("measures", "translation basis spans the brute-force translations", translations),
     ]
 
 

@@ -276,6 +276,7 @@ VERIFY_LABELS = [
     "measures: max sensitivity and its witness match the unpacked profile",
     "measures: block sensitivity matches naive packing",
     "measures: symmetry classes match the brute-force transposition search",
+    "measures: translation basis spans the brute-force translations",
     "bounds: spectral flip probability equals brute force",
     "bounds: k=1 bound reduces to the influence bound",
     "bounds: parity bound is exactly n/2 for every odd k",
@@ -294,7 +295,7 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
     *lines, summary = out.strip().splitlines()
     assert [line.rsplit("  PASS", 1)[0].rstrip() for line in lines] == VERIFY_LABELS
-    assert summary == "18/18 checks passed"
+    assert summary == "19/19 checks passed"
 
 
 @pytest.mark.parametrize("flag, value", [("--n-max", "1"), ("--samples", "0")])

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -119,9 +120,47 @@ def test_elaborate_matches_pointwise_reference(source, n, reference):
     assert elaborate(source) == oracles.tabulate(n, reference)
 
 
+def _random_formula(rng, n):
+    """A formula mentioning each of x0..x{n-1}, with extra variables, constants and negations.
+
+    Each call of a pointwise builtin takes a contiguous run of the leaves as its
+    arguments: maj an odd count, paper_f four, the others any count.
+    """
+    leaves = [f"x{v}" for v in range(n)] + [rng.choice([f"x{rng.randrange(n)}", "0", "1"]) for _ in range(n)]
+    rng.shuffle(leaves)
+
+    def grow(part):
+        if len(part) == 1:
+            text = part[0]
+        else:
+            kinds = ["&", "^", "|", "parity", "and", "or"] + ["maj"] * (len(part) % 2) + ["paper_f"] * (len(part) >= 4)
+            kind = rng.choice(kinds)
+            if kind in "&^|":
+                cut = rng.randrange(1, len(part))
+                text = f"({grow(part[:cut])} {kind} {grow(part[cut:])})"
+            else:
+                arity = 4 if kind == "paper_f" else rng.choice([k for k in range(1, len(part) + 1) if kind != "maj" or k % 2])
+                cuts = sorted(rng.sample(range(1, len(part)), arity - 1)) if arity > 1 else []
+                args = [part[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(part)])]
+                text = f"{kind}({', '.join(grow(a) for a in args)})"
+        return f"!{text}" if rng.random() < 0.3 else text
+
+    return grow(leaves)
+
+
+def test_elaborate_matches_per_input_walk_on_random_formulas():
+    rng = random.Random(2611)
+    for n in range(1, 10):
+        for _ in range(25):
+            source = _random_formula(rng, n)
+            node = parse(source)
+            assert elaborate(source) == oracles.tabulate(n, lambda x: oracles.formula_value(node, x)), source
+
+
 def test_elaborate_builds_each_column_where_a_leaf_reads_it():
     # a 20-leaf formula over 20 variables, the shape of the wide analyze input:
-    # holding all 20 uint8 columns for the whole walk peaked at 35 MiB
+    # holding all 20 uint8 columns for the whole walk peaked at 35 MiB, building
+    # each where it is read at 6.0 MiB; as 128 KiB word arrays it is 1.4 MiB
     leaves = [f"!x{v}" if v % 3 == 0 else f"x{v}" for v in range(20)]
     source = (
         "(maj({0}, {1}, {2}) ^ ({3} & {4}) ^ ({5} | {6} | {7}))"
@@ -136,7 +175,7 @@ def test_elaborate_builds_each_column_where_a_leaf_reads_it():
     finally:
         tracemalloc.stop()
     assert t.n == 20
-    assert peak <= 8 << 20  # 6.0 MiB measured: a few 1 MiB columns in flight
+    assert peak <= 2 << 20
 
 
 def test_elaborate_errors():

@@ -133,6 +133,19 @@ def test_full_table_kernel_peak_at_the_cap(kernel, limit_mib):
     assert peak < limit_mib * 2**20
 
 
+def test_top_entries_peak_at_the_cap():
+    # 9.0 MiB measured: one int64 buffer of |sums| and one bool mask; gathering the
+    # nonzeros first held masks, their magnitudes and a partitioned copy, 24 MiB
+    spec = fourier.wht(random_table(20, 5))
+    tracemalloc.start()
+    try:
+        fourier.top_entries(spec, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def _assert_packing(t, x, value, blocks):
     """blocks are value pairwise disjoint blocks, each flipping f at x."""
     combined = 0
@@ -323,31 +336,74 @@ def test_symmetry_classes_match_transposition_search():
         assert measures.symmetry_classes(t) == oracles.symmetry_classes_naive(t), str(t)
 
 
-def _orbit_minimum(x, classes):
-    """Within each class, move x's ones onto the lowest-indexed members."""
-    out = 0
+def _class_constant(a, classes):
+    return all(len({(a >> v) & 1 for v in c}) == 1 for c in classes)
+
+
+def _span(basis):
+    span = {0}
+    for a in basis:
+        span |= {s ^ a for s in span}
+    return span
+
+
+def test_translation_basis_spans_class_constant_translations(small_corpus):
+    # the basis is read off the squared spectrum; the oracle shifts the table by every a
+    tables = [t for ts in small_corpus.values() for t in ts]
+    tables += [ref for _, n, ref in oracles.builtin_references() if n <= 9]
+    tables += [t for t in _symmetry_corpus() if t.n <= 10]
+    tables += [dsl.elaborate(e) for e in ("compose(parity(2),paper_f)", "compose(paper_f,parity(2))")]
+    for t in tables:
+        classes = measures.symmetry_classes(t)
+        basis = measures._translation_basis(t, classes)
+        expected = {a for a in oracles.translations_naive(t) if _class_constant(a, classes)}
+        assert _span(basis) == expected, str(t)
+        assert len(expected) == 1 << len(basis), str(t)
+
+
+def _orbit_minima_by_closure(t, classes):
+    """Smallest input of every orbit, by closing labels under each generator over all inputs.
+
+    The generators are the exchanges of neighbouring members of a class and the
+    class-constant translations the oracle finds by shifting the table.
+    """
+    idx = np.arange(t.size)
+    moves = [idx ^ a for a in oracles.translations_naive(t) if _class_constant(a, classes)]
     for c in classes:
-        ones = sum((x >> v) & 1 for v in c)
-        out |= sum(1 << v for v in c[:ones])
-    return out
+        for i, j in zip(c, c[1:]):
+            differ = ((idx >> i) ^ (idx >> j)) & 1
+            moves.append(idx ^ (differ * ((1 << i) | (1 << j))))
+    labels = idx.copy()
+    while True:
+        merged = labels
+        for move in moves:
+            merged = np.minimum(merged, merged[move])
+        if np.array_equal(merged, labels):
+            return np.unique(labels)
+        labels = merged
 
 
-@pytest.mark.parametrize("expr", ["maj(5)", "compose(or(2),and(3))", "compose(maj(3),maj(3))"])
+@pytest.mark.parametrize(
+    "expr",
+    ["maj(5)", "compose(or(2),and(3))", "compose(maj(3),maj(3))", "compose(parity(2),paper_f)",
+     "compose(paper_f,maj(3))"],
+)
 def test_orbit_scan_matches_every_input(expr):
     # the scan visits orbit minima only; its value and witness must still be
     # the max over every input and the smallest input attaining it
     t = _relabeled(dsl.elaborate(expr), 7)
     classes = measures.symmetry_classes(t)
-    minima = measures._orbit_minima(classes)
-    assert minima.tolist() == sorted({_orbit_minimum(x, classes) for x in range(t.size)})
-    assert minima.size == np.prod([len(c) + 1 for c in classes])
-    by_input = [block_sensitivity_naive_at(t, x) for x in range(t.size)]
+    minima = measures._orbit_minima(t, classes)
+    assert minima.tolist() == _orbit_minima_by_closure(t, classes).tolist()
     result = block_sensitivity(t)
     assert result.exact
-    assert result.value == max(by_input)
-    assert result.witness_input == by_input.index(result.value)
     _assert_packing(t, result.witness_input, result.value, result.witness_blocks)
     assert result.inputs_scanned <= minima.size
+    # the per-input oracle takes about 50 ms an input at n = 12: there, only up to the witness
+    inputs = range(t.size) if t.n <= 9 else range(result.witness_input + 1)
+    by_input = [block_sensitivity_naive_at(t, x) for x in inputs]
+    assert by_input.index(result.value) == result.witness_input
+    assert max(by_input) == result.value
 
 
 @pytest.mark.parametrize(
@@ -362,9 +418,23 @@ def test_block_sensitivity_scans_orbit_minima_only(expr, value, orbits):
     assert result.inputs_scanned <= orbits
 
 
+@pytest.mark.parametrize(
+    "expr, seed, value, orbits",
+    [("iterate(paper_f,2)", None, 9, 1024), ("compose(maj(3),paper_f)", 3, 6, 256),
+     ("compose(paper_f,maj(3))", 3, 6, 64)],
+)
+def test_block_sensitivity_scans_translation_orbits_only(expr, seed, value, orbits):
+    # with exchanges alone these scan 65536, 3075 and 213 inputs; the first has no
+    # interchangeable pair, the others are relabeled (permuted and complemented)
+    t = dsl.elaborate(expr) if seed is None else _relabeled(dsl.elaborate(expr), seed)
+    result = block_sensitivity(t)
+    assert (result.value, result.exact) == (value, True)
+    assert result.inputs_scanned <= orbits
+
+
 def test_block_sensitivity_masks_orbit_minima_only(monkeypatch):
-    # the sensitive-coordinate masks are computed for the 6 * 6 * 6 orbit
-    # minima alone, not for all 2^15 inputs
+    # the sensitive-coordinate masks are computed for the 108 orbit minima alone:
+    # the 6 * 6 * 6 exchange orbits, paired by complementing every input
     sizes = []
     masks = measures._sensitive_masks
 
@@ -374,7 +444,7 @@ def test_block_sensitivity_masks_orbit_minima_only(monkeypatch):
 
     monkeypatch.setattr(measures, "_sensitive_masks", recording)
     assert block_sensitivity(dsl.elaborate("compose(maj(3),maj(5))")).value == 6
-    assert sum(sizes) == 216
+    assert sum(sizes) == 108
 
 
 def test_block_sensitivity_budget_flags_partial():
