@@ -43,7 +43,6 @@ _TOKEN_RE = re.compile(
 
 _TABLE_ARITY_NAMES = frozenset({"maj", "parity", "and", "or"})
 _POINTWISE_NAMES = _TABLE_ARITY_NAMES | {"paper_f"}
-_FUNCTION_NAMES = _POINTWISE_NAMES | {"compose", "iterate"}
 
 
 @dataclass(frozen=True)
@@ -300,10 +299,8 @@ def _eval_formula(node: Node, words: int) -> np.ndarray:
         return _WORD_OPS[kind](value, _eval_formula(node.children[1], words), out=value)
     if kind == "call":
         name = node.value
-        if name not in _FUNCTION_NAMES:
-            raise InputError(f"unknown builtin {name!r}")
         if name not in _POINTWISE_NAMES:
-            raise InputError(f"{name!r} builds a function and cannot be applied pointwise")
+            raise InputError(f"unknown builtin {name!r}")
         arity = len(node.children)
         if arity == 0:
             raise InputError(f"{name} needs arguments when used inside a formula")

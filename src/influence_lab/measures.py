@@ -39,10 +39,11 @@ of x, and so does a translation x -> x ^ a under which f is invariant or
 complemented (f(x ^ a) = f(x) at every x, or != at every x): the blocks that
 flip f at x flip it at x ^ a. So bs is the same across an orbit of the group
 both generate, and the orbit's smallest index stands for it. The translations
-are read off the table's squared spectrum; those constant on every class
-commute with the exchanges, and the orbit minima are built from the exchange
-minima, whose ones fill the lowest-indexed members of each class, merged along
-each translation. Sensitive coordinates are found at the minima alone.
+are read off the table's squared spectrum. An exchange maps a translation to a
+translation, so an orbit's smallest index is the least canonical(x ^ a) over
+the translations a, canonical moving each class's ones to its lowest-indexed
+members; one pass over all inputs per basis translation computes it for every
+x. Sensitive coordinates are found at the minima alone.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .truthtable import TruthTable
 
 # with no exchange or translation symmetry the scan visits all 2^16 inputs, and it is
 # slowest when bs is far below n/2 so the ceiling never prunes; iterate(paper_f, 2)
-# (bs 9) has 64 translations and scans 1024 orbit minima in about 0.06 s
+# (bs 9) has 64 translations and scans 1024 orbit minima in about 0.04 s
 BS_EXACT_MAX_VARS = 16
 # the block-sensitivity scan gathers inputs x subsets in batches: about 2^18
 # elements keeps the index array in cache, and at least 16 inputs spreads each
@@ -82,8 +83,9 @@ class BlockSensitivityResult:
     witness_input: int  # the smallest input index attaining value
     witness_blocks: tuple[int, ...]  # disjoint variable masks, each flips f at the witness
     # orbit minima whose candidate blocks were computed; the other minima were pruned, and
-    # the rest of the inputs share their orbit's bs. prod(|C| + 1) over symmetry_classes is
-    # only an upper bound: each independent translation can halve it
+    # the rest of the inputs share their orbit's bs. prod(|C| + 1) over symmetry_classes
+    # counts the canonical inputs the orbit labels start from, so it is an upper bound;
+    # folding in a basis translation merges orbits in pairs at most, so each can halve it
     inputs_scanned: int
 
 
@@ -184,8 +186,8 @@ def symmetry_classes(t: TruthTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in classes)
 
 
-def _translation_basis(t: TruthTable, classes: tuple[tuple[int, ...], ...]) -> list[int]:
-    """A basis of the a constant on every class with f(x ^ a) = f(x) at every x, or != at every x.
+def _translation_basis(t: TruthTable) -> list[int]:
+    """A basis of the a with f(x ^ a) = f(x) at every x, or != at every x.
 
     With F the sign view, r = butterfly(sums^2) has r[a] = 2^n sum_x F(x) F(x ^ a),
     so |r[a]| = 4^n exactly for those a. Every partial sum of the butterfly is at
@@ -196,44 +198,29 @@ def _translation_basis(t: TruthTable, classes: tuple[tuple[int, ...], ...]) -> l
     sums = fourier.wht(t).sums
     r = fourier.butterfly(sums * sums)
     found = np.flatnonzero(np.abs(r) == 1 << (2 * t.n))
-    for c in classes:
-        mask = sum(1 << v for v in c)
-        part = found & mask
-        found = found[(part == 0) | (part == mask)]
     return [int(found[1 << k]) for k in range((found.size - 1).bit_length())]
 
 
 def _orbit_minima(t: TruthTable, classes: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Ascending smallest inputs of the orbits under exchanges within classes and the translations.
 
-    The exchange orbits' minima fill, in every class, its lowest-indexed
-    members: the OR of one prefix of each class, prod(|C| + 1) of them. A
-    translation a from _translation_basis is constant on every class, so it
-    commutes with the exchanges and maps exchange orbits to exchange orbits:
-    the one of m to that of canonical(m ^ a). Each basis vector in turn merges
-    labels along that map, and since the translations commute, after the last
-    one every label is the smallest index of its whole orbit.
+    An exchange s that fixes f maps a translation a of f to the translation
+    s(a), so every element of the group both generate is an exchange after a
+    translation, and the smallest index of x's orbit is the minimum over the
+    translations a of canonical(x ^ a), where canonical moves the ones of each
+    class to its lowest-indexed members. Labels start at canonical(x) and fold
+    in one basis vector at a time; after the last one, each label is that
+    minimum, and an input is an orbit minimum exactly when it is its own label.
     """
-    # per class, entry k is the mask of its k lowest-indexed members
-    prefixes = [np.cumsum([0] + [1 << v for v in c], dtype=np.int64) for c in classes]
-    minima = np.zeros(1, dtype=np.int64)
-    for p in prefixes:
-        minima = (minima[:, None] | p[None, :]).ravel()
-    minima.sort()
-    basis = _translation_basis(t, classes)
-    if not basis:
-        return minima
-    # singleton classes are already canonical; the others move their ones down
-    wide = [(p[-1], p) for p in prefixes if p.size > 2]
-    fixed = (1 << t.n) - 1 - sum(int(m) for m, _ in wide)
-    labels = np.arange(minima.size)
-    for a in basis:
-        image = minima ^ a
-        canonical = image & fixed
-        for mask, p in wide:
-            canonical |= p[np.bitwise_count(image & mask)]
-        labels = np.minimum(labels, labels[np.searchsorted(minima, canonical)])
-    return minima[labels == np.arange(minima.size)]
+    labels = idx = np.arange(t.size, dtype=np.int64)
+    for c in classes:
+        if len(c) > 1:  # a singleton class is already canonical
+            mask = sum(1 << v for v in c)
+            prefix = np.cumsum([0] + [1 << v for v in c], dtype=np.int64)
+            labels = (labels & ~mask) | prefix[np.bitwise_count(labels & mask)]
+    for a in _translation_basis(t):
+        labels = np.minimum(labels, labels[idx ^ a])
+    return np.flatnonzero(labels == idx)
 
 
 def _sensitive_masks(t: TruthTable, xs: np.ndarray) -> np.ndarray:

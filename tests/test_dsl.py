@@ -183,6 +183,8 @@ def test_elaborate_errors():
         elaborate("x0 & x2")
     with pytest.raises(InputError, match="unknown builtin"):
         elaborate("frob(2)")
+    with pytest.raises(InputError, match="unknown builtin 'foo'"):
+        elaborate("x0 & foo(x1)")  # inside a formula
     with pytest.raises(InputError, match="function-valued"):
         elaborate("x0 ^ parity(4)")
     with pytest.raises(InputError, match="function-valued"):
