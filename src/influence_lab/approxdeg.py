@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 from scipy import sparse
@@ -217,8 +218,9 @@ def approx_degree_scan(t: TruthTable, eps: float) -> DegreeScan:
     until t*_d clears the threshold, then makes sure t*_{d-1} is held beside
     the answer d. errors and polynomials hold only the degrees visited.
     Known answers need no solve: for d >= deg f, t*_d = 0 and f's own
-    expansion is optimal; at d = 0, t*_0 = 1/2 for nonconstant f, since
-    p = 1/2 attains the certificate, which is exactly 1/2 there.
+    expansion is optimal; where the certificate is exactly 1/2, t*_d = 1/2,
+    since p = 1/2 attains it. That holds at d = 0 for every nonconstant f,
+    and at every d < n for parity.
     """
     if not 0 <= eps < 0.5:
         raise InputError(f"error probability must be in [0, 0.5), got {eps}")
@@ -230,13 +232,16 @@ def approx_degree_scan(t: TruthTable, eps: float) -> DegreeScan:
     # f's own 0/1 expansion, f = (1 - F)/2 for the sign view F; exact, since its coefficients are dyadic
     expansion = -spec.sums / (2 * size)
     expansion[0] += 0.5
+    half = np.zeros(size)
+    half[0] = 0.5  # p = 1/2
+    certificate = cache(lambda d: minimax_error_floor(spec, d))
 
     def solved(d: int) -> float:
         if d not in scan.errors:
             if d >= deg:
                 known = 0.0, _truncated(t.n, expansion, d)
-            elif d == 0:
-                known = 0.5, _truncated(t.n, np.full(size, 0.5), 0)  # p = 1/2
+            elif certificate(d) == Fraction(1, 2):
+                known = 0.5, MultilinearPoly(t.n, half, d)
             else:
                 known = min_error_at_degree(t, d)
             scan.errors[d], scan.polynomials[d] = known
@@ -244,7 +249,7 @@ def approx_degree_scan(t: TruthTable, eps: float) -> DegreeScan:
 
     # 1 + the largest degree whose certificate rules it out, compared exactly
     bound = Fraction(threshold)
-    d = next((low + 1 for low in reversed(range(deg)) if minimax_error_floor(spec, low) > bound), 0)
+    d = next((low + 1 for low in reversed(range(deg)) if certificate(low) > bound), 0)
     # ends by d = deg f at the latest, where t*_d = 0
     while solved(d) > threshold:
         d += 1

@@ -127,13 +127,13 @@ def cmd_analyze(args) -> dict:
         raise InputError(f"--bs-budget must be a nonnegative number of seconds, got {args.bs_budget}")
     timer = _Timer(args.timing)
     t, source = _load_table(args)
-    with timer.stage("measures"):
-        mreport = measures.measure_report(
-            t, include_block_sensitivity=not args.no_bs, bs_budget_seconds=args.bs_budget
-        )
     with timer.stage("spectrum"):
         spec = fourier.wht(t)
         spectrum = _spectrum_section(spec, args.dump_spectrum)
+    with timer.stage("measures"):
+        mreport = measures.measure_report(
+            t, include_block_sensitivity=not args.no_bs, bs_budget_seconds=args.bs_budget, spec=spec
+        )
     approx_section = None
     approx_d = None
     if args.approx_degree:
@@ -240,7 +240,7 @@ def cmd_simulate(args) -> dict:
         "queries": alg.queries,
         "worst_error": profile.worst,
         "eps_used_for_bounds": eps_measured,
-        "per_oracle_error": [float(e) for e in profile.per_oracle],
+        "per_oracle_error": profile.per_oracle.tolist(),
         "support_history": list(state.support_history),
         "displacement": displacement,
         "gap": gap,

@@ -186,7 +186,7 @@ def symmetry_classes(t: TruthTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in classes)
 
 
-def _translation_basis(t: TruthTable) -> list[int]:
+def _translation_basis(t: TruthTable, spec: fourier.FourierSpectrum | None = None) -> list[int]:
     """A basis of the a with f(x ^ a) = f(x) at every x, or != at every x.
 
     With F the sign view, r = butterfly(sums^2) has r[a] = 2^n sum_x F(x) F(x ^ a),
@@ -194,14 +194,17 @@ def _translation_basis(t: TruthTable) -> list[int]:
     most sum_s sums[s]^2 = 4^n <= 2^32 in magnitude, so int64 is exact. The a
     found form a subspace, and its ascending elements count in binary over its
     reduced row-echelon basis, so the elements at positions 1, 2, 4, ... are one.
+    spec, when given, is t's spectrum and saves computing it again.
     """
-    sums = fourier.wht(t).sums
+    sums = (fourier.wht(t) if spec is None else spec).sums
     r = fourier.butterfly(sums * sums)
     found = np.flatnonzero(np.abs(r) == 1 << (2 * t.n))
     return [int(found[1 << k]) for k in range((found.size - 1).bit_length())]
 
 
-def _orbit_minima(t: TruthTable, classes: tuple[tuple[int, ...], ...]) -> np.ndarray:
+def _orbit_minima(
+    t: TruthTable, classes: tuple[tuple[int, ...], ...], spec: fourier.FourierSpectrum | None = None
+) -> np.ndarray:
     """Ascending smallest inputs of the orbits under exchanges within classes and the translations.
 
     An exchange s that fixes f maps a translation a of f to the translation
@@ -218,7 +221,7 @@ def _orbit_minima(t: TruthTable, classes: tuple[tuple[int, ...], ...]) -> np.nda
             mask = sum(1 << v for v in c)
             prefix = np.cumsum([0] + [1 << v for v in c], dtype=np.int64)
             labels = (labels & ~mask) | prefix[np.bitwise_count(labels & mask)]
-    for a in _translation_basis(t):
+    for a in _translation_basis(t, spec):
         labels = np.minimum(labels, labels[idx ^ a])
     return np.flatnonzero(labels == idx)
 
@@ -319,13 +322,16 @@ def _pack_blocks(blocks: list[int], n: int) -> tuple[int, tuple[int, ...]]:
     return best_count, best_sel
 
 
-def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> BlockSensitivityResult:
+def block_sensitivity(
+    t: TruthTable, budget_seconds: float | None = None, spec: fourier.FourierSpectrum | None = None
+) -> BlockSensitivityResult:
     """Exact block sensitivity: the most disjoint blocks that each flip f at one input.
 
     The witness is the smallest input index attaining the maximum. With a
     budget, the scan stops at the first input it finishes after the deadline
     and the result is flagged as a lower bound (exact=False) rather than
-    silently reported as exact. Larger n than the cap is refused.
+    silently reported as exact. Larger n than the cap is refused. spec,
+    when given, is t's spectrum, which the translation search reads.
     """
     if t.n > BS_EXACT_MAX_VARS:
         raise CapacityError(f"exact block sensitivity is capped at n={BS_EXACT_MAX_VARS}")
@@ -335,7 +341,7 @@ def block_sensitivity(t: TruthTable, budget_seconds: float | None = None) -> Blo
     # bs_x is the same at every input of an orbit under exchanges of
     # interchangeable variables and the translations, so scanning each orbit's
     # smallest index alone keeps the value and the witness
-    reps = _orbit_minima(t, symmetry_classes(t))
+    reps = _orbit_minima(t, symmetry_classes(t), spec)
     rep_masks = _sensitive_masks(t, reps)
     # one sort: most sensitive coordinates first, the inputs sharing a mask
     # contiguous, indices ascending within each mask (lexsort is stable)
@@ -391,6 +397,7 @@ def measure_report(
     t: TruthTable,
     include_block_sensitivity: bool = True,
     bs_budget_seconds: float | None = None,
+    spec: fourier.FourierSpectrum | None = None,
 ) -> MeasureReport:
     infl = influences(t)
     rho = sum(infl, Fraction(0)) / t.n
@@ -402,7 +409,7 @@ def measure_report(
     elif t.n > BS_EXACT_MAX_VARS:
         skipped = f"n={t.n} exceeds exact cap {BS_EXACT_MAX_VARS}"
     else:
-        bs = block_sensitivity(t, bs_budget_seconds)
+        bs = block_sensitivity(t, bs_budget_seconds, spec)
     return MeasureReport(
         n=t.n,
         influences=infl,

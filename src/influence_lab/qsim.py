@@ -21,6 +21,11 @@ Register layout: an index register with one basis state per oracle bit, a
 index-major then answer then work. The computational-basis query gate is
 |i, a, w> -> |i, a XOR x_i, w>.
 
+The characters (-1)^(s.x) are real, so when every step is real every
+coefficient row is a real vector. run() therefore holds the rows in float64
+unless some Unitary has a complex matrix, and in complex128 then; every
+other function works in the dtype it finds in state.coeffs.
+
 Over all oracles at once, phi is one inverse Walsh-Hadamard transform of the
 coefficient rows along the mask axis: oracle_states gives every phi(x)
 that way, and the acceptance profile and the gap check read from it.
@@ -47,10 +52,13 @@ from .truthtable import TruthTable
 NORM_TOL = 1e-9
 _PRUNE_SQ = 1e-24  # squared-norm floor; drops exact-zero transport residue
 _SQRT2 = math.sqrt(2.0)
+# numpy divides a complex array by a real scalar as a * (1 / c), so scaling by
+# this constant gives the same bits in float64 and in complex128
+_INV_SQRT2 = 1.0 / _SQRT2
 
 SERIAL_READ_MAX_VARS = 6  # work register holds all n bits read so far
 GAP_CHECK_MAX_VARS = 5  # the scan indexes all 2^n (2^n - 1) / 2 oracle pairs at once
-_BLOCK_BYTES = 64 << 20  # cap on one (2^n x columns) complex block of oracle states
+_BLOCK_BYTES = 64 << 20  # cap on one (2^n x columns) block of oracle states, in the state's dtype
 
 
 @dataclass(frozen=True)
@@ -135,10 +143,10 @@ class FourierState:
     Also carries the query tally and the support size after every step.
     """
 
-    def __init__(self, layout: RegisterLayout):
+    def __init__(self, layout: RegisterLayout, dtype=np.float64):
         self.layout = layout
         self.masks = np.zeros(0, dtype=np.int64)
-        self.coeffs = np.zeros((0, layout.dim), dtype=np.complex128)
+        self.coeffs = np.zeros((0, layout.dim), dtype=dtype)
         self.queries_applied = 0
         self.support_history: list[int] = []
 
@@ -149,14 +157,16 @@ class FourierState:
         return int(np.bitwise_count(self.masks).max(initial=0))
 
 
-def _row_norms_sq(coeffs: np.ndarray) -> np.ndarray:
-    return np.sum(coeffs.real**2 + coeffs.imag**2, axis=1)
+def _row_norms_sq(rows: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(rows):
+        return np.sum(rows.real**2 + rows.imag**2, axis=1)
+    return np.sum(rows**2, axis=1)
 
 
-def initial_state(layout: RegisterLayout) -> FourierState:
-    state = FourierState(layout)
+def initial_state(layout: RegisterLayout, dtype=np.float64) -> FourierState:
+    state = FourierState(layout, dtype)
     state.masks = np.zeros(1, dtype=np.int64)
-    state.coeffs = np.zeros((1, layout.dim), dtype=np.complex128)
+    state.coeffs = np.zeros((1, layout.dim), dtype=dtype)
     state.coeffs[0, 0] = 1.0
     return state
 
@@ -164,9 +174,11 @@ def initial_state(layout: RegisterLayout) -> FourierState:
 def apply_unitary(state: FourierState, u: Unitary | Permutation) -> FourierState:
     """Coefficient-wise action, one GEMM over the coefficient rows.
 
-    The support set never changes. A real matrix acts on the real and
-    imaginary parts separately, so it is never cast to complex. A
-    Permutation moves columns and does no arithmetic.
+    The support set never changes. Real rows and a real matrix take one real
+    product; complex rows and a real matrix take one real product each for
+    the real and imaginary parts; a complex matrix takes one complex product,
+    casting real rows to complex128 first. A Permutation moves columns and
+    does no arithmetic.
     """
     if isinstance(u, Permutation):
         if u.target.size != state.layout.dim:
@@ -178,7 +190,7 @@ def apply_unitary(state: FourierState, u: Unitary | Permutation) -> FourierState
     if u.matrix.shape != (state.layout.dim, state.layout.dim):
         raise InputError("unitary dimension does not match layout")
     mt = u.matrix.T
-    if np.iscomplexobj(mt):
+    if np.iscomplexobj(mt) or not np.iscomplexobj(state.coeffs):
         state.coeffs = state.coeffs @ mt
     else:
         out = np.empty_like(state.coeffs)
@@ -197,12 +209,12 @@ def apply_query(state: FourierState) -> FourierState:
     masks, slot = np.unique(np.concatenate([state.masks, moved.ravel()]), return_inverse=True)
     # split[j] is the coefficient at masks[j] in the answer Hadamard basis;
     # masks are unique, so each of its slots receives at most one term
-    split = np.zeros((masks.size, n, 2, w), dtype=np.complex128)
-    split[:, :, 0][slot[:k]] = (c[:, :, 0] + c[:, :, 1]) / _SQRT2
-    split[:, :, 1][slot[k:].reshape(k, n), np.arange(n)] = (c[:, :, 0] - c[:, :, 1]) / _SQRT2
+    split = np.zeros((masks.size, n, 2, w), dtype=state.coeffs.dtype)
+    split[:, :, 0][slot[:k]] = (c[:, :, 0] + c[:, :, 1]) * _INV_SQRT2
+    split[:, :, 1][slot[k:].reshape(k, n), np.arange(n)] = (c[:, :, 0] - c[:, :, 1]) * _INV_SQRT2
     out = np.empty_like(split)
-    out[:, :, 0] = (split[:, :, 0] + split[:, :, 1]) / _SQRT2
-    out[:, :, 1] = (split[:, :, 0] - split[:, :, 1]) / _SQRT2
+    out[:, :, 0] = (split[:, :, 0] + split[:, :, 1]) * _INV_SQRT2
+    out[:, :, 1] = (split[:, :, 0] - split[:, :, 1]) * _INV_SQRT2
     out = out.reshape(masks.size, state.layout.dim)
     keep = _row_norms_sq(out) > _PRUNE_SQ
     state.masks = masks[keep]
@@ -233,7 +245,8 @@ def _check_invariants(state: FourierState) -> None:
 
 def run(alg: Algorithm) -> FourierState:
     """Execute all steps; support-weight and norm invariants hold after each."""
-    state = initial_state(alg.layout)
+    complex_step = any(isinstance(s, Unitary) and np.iscomplexobj(s.matrix) for s in alg.steps)
+    state = initial_state(alg.layout, np.complex128 if complex_step else np.float64)
     state.support_history.append(state.masks.size)
     for step in alg.steps:
         if isinstance(step, Query):
@@ -288,9 +301,9 @@ def oracle_states(state: FourierState, columns=None) -> np.ndarray:
     columns selects basis indices (all of them by default).
     """
     cols = np.arange(state.layout.dim) if columns is None else np.asarray(columns, dtype=np.int64)
-    dense = np.zeros((1 << state.layout.n_index, cols.size), dtype=np.complex128)
+    dense = np.zeros((1 << state.layout.n_index, cols.size), dtype=state.coeffs.dtype)
     dense[state.masks] = state.coeffs[:, cols]
-    return butterfly(dense, np.complex128)
+    return butterfly(dense, dense.dtype)
 
 
 def acceptance_probabilities(state: FourierState, accept: frozenset) -> np.ndarray:
@@ -301,11 +314,10 @@ def acceptance_probabilities(state: FourierState, accept: frozenset) -> np.ndarr
     """
     size = 1 << state.layout.n_index
     cols = sorted(accept)
-    block = max(1, _BLOCK_BYTES // (16 * size))
+    block = max(1, _BLOCK_BYTES // (state.coeffs.itemsize * size))
     probs = np.zeros(size)
     for lo in range(0, len(cols), block):
-        phi = oracle_states(state, cols[lo : lo + block])
-        probs += np.sum(phi.real**2 + phi.imag**2, axis=1)
+        probs += _row_norms_sq(oracle_states(state, cols[lo : lo + block]))
     return probs
 
 

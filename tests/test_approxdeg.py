@@ -203,6 +203,17 @@ def test_scan_knows_t0_without_highs(solves, monkeypatch):
     assert max_abs_error(scan.polynomials[0], OR2) == 0.5
 
 
+def test_scan_knows_a_certificate_of_one_half(solves):
+    # parity's certificate is exactly 1/2 at every d < n, so p = 1/2 is optimal there
+    for n in (10, 12):
+        t = builtin("parity", n)
+        scan = approx_degree_scan(t, 1 / 3)
+        assert (scan.degree, solves, scan.errors) == (n, [], {n - 1: 0.5, n: 0.0})
+        below = scan.polynomials[n - 1]
+        assert below.degree == n - 1 and np.flatnonzero(below.coeffs).tolist() == [0]
+        assert max_abs_error(below, t) == 0.5
+
+
 @pytest.fixture(scope="module")
 def every_degree(corpus):
     """HiGHS's t*_d at every d < deg f, for the first 12 corpus tables of each n = 2..8."""

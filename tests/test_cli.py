@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from influence_lab import cli, oracles, qsim
+from influence_lab import cli, fourier, oracles, qsim
 from influence_lab.errors import ConsistencyError
 from influence_lab.truthtable import builtin, random_table, write_table
 
@@ -64,6 +64,20 @@ def test_analyze_iterated_family():
     report = run_json("analyze", "--expr", "iterate(paper_f,2)")
     assert report["measures"]["avg_sensitivity_float"] == 6.25
     assert report["measures"]["block_sensitivity"]["value"] == 9
+    assert report["measures"]["block_sensitivity"]["exact"] is True
+
+
+def test_analyze_computes_the_spectrum_once(monkeypatch):
+    # the block-sensitivity translation search reads the report's spectrum
+    calls, wht = [], fourier.wht
+
+    def counted(t):
+        calls.append(t.n)
+        return wht(t)
+
+    monkeypatch.setattr(fourier, "wht", counted)
+    report = run_json("analyze", "--expr", "compose(maj(3),paper_f)")
+    assert calls == [12]
     assert report["measures"]["block_sensitivity"]["exact"] is True
 
 

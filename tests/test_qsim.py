@@ -279,6 +279,61 @@ def test_fourier_matches_direct_all_oracles():
                 assert np.max(np.abs(batched[x] - reconstruct(state, x))) < 1e-12
 
 
+def _random_orthogonal(layout: RegisterLayout, rng) -> Unitary:
+    return Unitary(np.linalg.qr(rng.normal(size=(layout.dim, layout.dim)))[0])
+
+
+def test_real_runs_are_real_and_match_complex_runs_bit_for_bit():
+    t5 = random_table(5, 44)
+    cases = [(grover(6, 2), builtin("or", 6)), (deutsch_parity(8), builtin("parity", 8)), (serial_read(t5), t5)]
+    # the builtins' amplitudes are mostly powers of 1/sqrt(2); random real steps reach every rounding case
+    layout, rng = RegisterLayout(3, 2), np.random.default_rng(13)
+    steps = (_random_orthogonal(layout, rng), QUERY, _random_orthogonal(layout, rng), QUERY)
+    cases.append((Algorithm(layout, steps, frozenset(range(0, layout.dim, 2))), random_table(3, 13)))
+    for alg, table in cases:
+        real = run(alg)
+        assert real.coeffs.dtype == np.float64
+        cplx = initial_state(alg.layout, np.complex128)
+        for step in alg.steps:
+            if step is QUERY:
+                apply_query(cplx)
+            else:
+                apply_unitary(cplx, step)
+        assert cplx.coeffs.dtype == np.complex128
+        assert np.array_equal(real.masks, cplx.masks)
+        assert np.all(cplx.coeffs.imag == 0.0)
+        expected = profile_state(cplx, alg.accept, table).per_oracle
+        assert profile_state(real, alg.accept, table).per_oracle.tobytes() == expected.tobytes()
+
+
+def test_complex_step_runs_in_complex_arithmetic():
+    # a phase between the queries makes the coefficients complex; every route must agree with the direct simulator
+    layout = RegisterLayout(3, 2)
+    rng = np.random.default_rng(12)
+    phase = Unitary(np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, layout.dim))))
+    accept = frozenset(range(0, layout.dim, 3))
+    steps = (_random_orthogonal(layout, rng), QUERY, phase, QUERY, _random_orthogonal(layout, rng))
+    alg = Algorithm(layout, steps, accept)
+    table = random_table(3, 12)
+    state = run(alg)
+    assert state.coeffs.dtype == np.complex128
+    direct = np.array([simulate_direct(alg, x) for x in range(8)])
+    assert np.max(np.abs(oracle_states(state) - direct)) < 1e-12
+    p1 = np.sum(np.abs(direct[:, sorted(accept)]) ** 2, axis=1)
+    expected = np.where(table.bits() == 1, 1.0 - p1, p1)
+    assert np.max(np.abs(profile_state(state, accept, table).per_oracle - expected)) < 1e-12
+    bits = table.bits()
+    gaps = [
+        np.sum(np.abs(direct[x] - direct[y]) ** 2)
+        for x in range(8)
+        for y in range(x + 1, 8)
+        if bits[x] != bits[y]
+    ]
+    report = gap_check(state, table, 0.01)
+    assert report.pairs_checked == len(gaps)
+    assert report.min_gap == pytest.approx(min(gaps), abs=1e-12)
+
+
 def test_serial_read_exact_for_any_function():
     for n in (2, 3, 4):
         t = random_table(n, 17 + n)
@@ -297,8 +352,8 @@ def test_serial_read_and2():
 
 
 def test_profile_matches_per_oracle_loop(monkeypatch):
-    # small blocks: 3 columns per block at n = 6, one per block at n = 8
-    monkeypatch.setattr(qsim, "_BLOCK_BYTES", 3 * 16 * 64)
+    # small blocks of float64 rows: 3 columns per block at n = 6, one per block at n = 8
+    monkeypatch.setattr(qsim, "_BLOCK_BYTES", 3 * 8 * 64)
     calls = []
 
     def counted(state, columns=None):
