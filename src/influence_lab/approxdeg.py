@@ -53,7 +53,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 from scipy import sparse
@@ -232,15 +231,14 @@ def approx_degree_scan(t: TruthTable, eps: float) -> DegreeScan:
     # f's own 0/1 expansion, f = (1 - F)/2 for the sign view F; exact, since its coefficients are dyadic
     expansion = -spec.sums / (2 * size)
     expansion[0] += 0.5
-    half = np.zeros(size)
-    half[0] = 0.5  # p = 1/2
-    certificate = cache(lambda d: minimax_error_floor(spec, d))
 
     def solved(d: int) -> float:
         if d not in scan.errors:
             if d >= deg:
                 known = 0.0, _truncated(t.n, expansion, d)
-            elif certificate(d) == Fraction(1, 2):
+            elif minimax_error_floor(spec, d) == Fraction(1, 2):
+                half = np.zeros(size)
+                half[0] = 0.5  # p = 1/2
                 known = 0.5, MultilinearPoly(t.n, half, d)
             else:
                 known = min_error_at_degree(t, d)
@@ -249,7 +247,7 @@ def approx_degree_scan(t: TruthTable, eps: float) -> DegreeScan:
 
     # 1 + the largest degree whose certificate rules it out, compared exactly
     bound = Fraction(threshold)
-    d = next((low + 1 for low in reversed(range(deg)) if certificate(low) > bound), 0)
+    d = next((low + 1 for low in reversed(range(deg)) if minimax_error_floor(spec, low) > bound), 0)
     # ends by d = deg f at the latest, where t*_d = 0
     while solved(d) > threshold:
         d += 1

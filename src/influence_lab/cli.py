@@ -132,7 +132,7 @@ def cmd_analyze(args) -> dict:
         spectrum = _spectrum_section(spec, args.dump_spectrum)
     with timer.stage("measures"):
         mreport = measures.measure_report(
-            t, include_block_sensitivity=not args.no_bs, bs_budget_seconds=args.bs_budget, spec=spec
+            t, spec, include_block_sensitivity=not args.no_bs, bs_budget_seconds=args.bs_budget
         )
     approx_section = None
     approx_d = None

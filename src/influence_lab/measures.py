@@ -186,24 +186,22 @@ def symmetry_classes(t: TruthTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in classes)
 
 
-def _translation_basis(t: TruthTable, spec: fourier.FourierSpectrum | None = None) -> list[int]:
-    """A basis of the a with f(x ^ a) = f(x) at every x, or != at every x.
+def _translation_basis(spec: fourier.FourierSpectrum) -> list[int]:
+    """A basis of the a with f(x ^ a) = f(x) at every x, or != at every x, for f's spectrum spec.
 
     With F the sign view, r = butterfly(sums^2) has r[a] = 2^n sum_x F(x) F(x ^ a),
     so |r[a]| = 4^n exactly for those a. Every partial sum of the butterfly is at
     most sum_s sums[s]^2 = 4^n <= 2^32 in magnitude, so int64 is exact. The a
     found form a subspace, and its ascending elements count in binary over its
     reduced row-echelon basis, so the elements at positions 1, 2, 4, ... are one.
-    spec, when given, is t's spectrum and saves computing it again.
     """
-    sums = (fourier.wht(t) if spec is None else spec).sums
-    r = fourier.butterfly(sums * sums)
-    found = np.flatnonzero(np.abs(r) == 1 << (2 * t.n))
+    r = fourier.butterfly(spec.sums * spec.sums)
+    found = np.flatnonzero(np.abs(r) == 1 << (2 * spec.n))
     return [int(found[1 << k]) for k in range((found.size - 1).bit_length())]
 
 
 def _orbit_minima(
-    t: TruthTable, classes: tuple[tuple[int, ...], ...], spec: fourier.FourierSpectrum | None = None
+    t: TruthTable, classes: tuple[tuple[int, ...], ...], spec: fourier.FourierSpectrum
 ) -> np.ndarray:
     """Ascending smallest inputs of the orbits under exchanges within classes and the translations.
 
@@ -221,7 +219,7 @@ def _orbit_minima(
             mask = sum(1 << v for v in c)
             prefix = np.cumsum([0] + [1 << v for v in c], dtype=np.int64)
             labels = (labels & ~mask) | prefix[np.bitwise_count(labels & mask)]
-    for a in _translation_basis(t, spec):
+    for a in _translation_basis(spec):
         labels = np.minimum(labels, labels[idx ^ a])
     return np.flatnonzero(labels == idx)
 
@@ -341,7 +339,7 @@ def block_sensitivity(
     # bs_x is the same at every input of an orbit under exchanges of
     # interchangeable variables and the translations, so scanning each orbit's
     # smallest index alone keeps the value and the witness
-    reps = _orbit_minima(t, symmetry_classes(t), spec)
+    reps = _orbit_minima(t, symmetry_classes(t), fourier.wht(t) if spec is None else spec)
     rep_masks = _sensitive_masks(t, reps)
     # one sort: most sensitive coordinates first, the inputs sharing a mask
     # contiguous, indices ascending within each mask (lexsort is stable)
@@ -395,10 +393,11 @@ def block_sensitivity(
 
 def measure_report(
     t: TruthTable,
+    spec: fourier.FourierSpectrum,
     include_block_sensitivity: bool = True,
     bs_budget_seconds: float | None = None,
-    spec: fourier.FourierSpectrum | None = None,
 ) -> MeasureReport:
+    """Influences, sensitivities and block sensitivity of t; spec is t's spectrum."""
     infl = influences(t)
     rho = sum(infl, Fraction(0)) / t.n
     ms = max_sensitivity(t)

@@ -22,9 +22,9 @@ index-major then answer then work. The computational-basis query gate is
 |i, a, w> -> |i, a XOR x_i, w>.
 
 The characters (-1)^(s.x) are real, so when every step is real every
-coefficient row is a real vector. run() therefore holds the rows in float64
-unless some Unitary has a complex matrix, and in complex128 then; every
-other function works in the dtype it finds in state.coeffs.
+coefficient row is a real vector. The rows therefore start in float64, and
+the first Unitary with a complex matrix casts them to complex128; every
+function works in the dtype it finds in state.coeffs.
 
 Over all oracles at once, phi is one inverse Walsh-Hadamard transform of the
 coefficient rows along the mask axis: oracle_states gives every phi(x)
@@ -143,10 +143,10 @@ class FourierState:
     Also carries the query tally and the support size after every step.
     """
 
-    def __init__(self, layout: RegisterLayout, dtype=np.float64):
+    def __init__(self, layout: RegisterLayout):
         self.layout = layout
         self.masks = np.zeros(0, dtype=np.int64)
-        self.coeffs = np.zeros((0, layout.dim), dtype=dtype)
+        self.coeffs = np.zeros((0, layout.dim))
         self.queries_applied = 0
         self.support_history: list[int] = []
 
@@ -163,10 +163,10 @@ def _row_norms_sq(rows: np.ndarray) -> np.ndarray:
     return np.sum(rows**2, axis=1)
 
 
-def initial_state(layout: RegisterLayout, dtype=np.float64) -> FourierState:
-    state = FourierState(layout, dtype)
+def initial_state(layout: RegisterLayout) -> FourierState:
+    state = FourierState(layout)
     state.masks = np.zeros(1, dtype=np.int64)
-    state.coeffs = np.zeros((1, layout.dim), dtype=dtype)
+    state.coeffs = np.zeros((1, layout.dim))
     state.coeffs[0, 0] = 1.0
     return state
 
@@ -245,8 +245,7 @@ def _check_invariants(state: FourierState) -> None:
 
 def run(alg: Algorithm) -> FourierState:
     """Execute all steps; support-weight and norm invariants hold after each."""
-    complex_step = any(isinstance(s, Unitary) and np.iscomplexobj(s.matrix) for s in alg.steps)
-    state = initial_state(alg.layout, np.complex128 if complex_step else np.float64)
+    state = initial_state(alg.layout)
     state.support_history.append(state.masks.size)
     for step in alg.steps:
         if isinstance(step, Query):

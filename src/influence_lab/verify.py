@@ -78,7 +78,7 @@ def _max_sensitivity_matches(t) -> bool:
 
 def _translations_match(t) -> bool:
     """The basis spans exactly the brute-force translations."""
-    basis = measures._translation_basis(t)
+    basis = measures._translation_basis(fourier.wht(t))
     span = {0}
     for a in basis:
         span |= {s ^ a for s in span}

@@ -363,7 +363,7 @@ def test_translation_basis_spans_every_translation(small_corpus):
     tables += [t for t in _symmetry_corpus() if t.n <= 10]
     tables += [dsl.elaborate(e) for e in ("compose(parity(2),paper_f)", "compose(paper_f,parity(2))")]
     for t in tables:
-        basis = measures._translation_basis(t)
+        basis = measures._translation_basis(fourier.wht(t))
         expected = set(oracles.translations_naive(t))
         assert _span(basis) == expected, str(t)
         assert len(expected) == 1 << len(basis), str(t)
@@ -401,7 +401,7 @@ def test_orbit_scan_matches_every_input(expr):
     # the max over every input and the smallest input attaining it
     t = _relabeled(dsl.elaborate(expr), 7)
     classes = measures.symmetry_classes(t)
-    minima = measures._orbit_minima(t, classes)
+    minima = measures._orbit_minima(t, classes, fourier.wht(t))
     assert minima.tolist() == _orbit_minima_by_closure(t, classes).tolist()
     result = block_sensitivity(t)
     assert result.exact
@@ -503,14 +503,15 @@ def test_influence_spectral_identity(small_corpus):
 
 
 def test_measure_report_consistency():
-    report = measure_report(PAPER_F)
+    report = measure_report(PAPER_F, fourier.wht(PAPER_F))
     assert report.avg_sensitivity == report.rho * report.n
     assert report.block_sensitivity is not None
     assert report.block_sensitivity.value == 3
     assert report.max_sensitivity == 3
-    skipped = measure_report(PAPER_F, include_block_sensitivity=False)
+    skipped = measure_report(PAPER_F, fourier.wht(PAPER_F), include_block_sensitivity=False)
     assert skipped.block_sensitivity is None
     assert skipped.bs_skipped_reason == "disabled"
-    big = measure_report(random_table(17, 1))
+    big_t = random_table(17, 1)
+    big = measure_report(big_t, fourier.wht(big_t))
     assert big.block_sensitivity is None
     assert "exceeds exact cap" in big.bs_skipped_reason
