@@ -11,10 +11,11 @@ Conventions shared by every function here:
   - eps is the allowed error probability of the algorithm or polynomial.
   - Bounds that go nonpositive are clamped to 0 and flagged vacuous instead
     of raising, since large eps legitimately drains them.
-  - k is the number of independently chosen coordinates XORed into the random
-    flip; it must be odd (the k-th-root step of the derivation needs it). The
-    query bound is the same or weaker at every odd k than at k = 1, the
-    paper's bound; query_lb_influence_best holds the proof.
+  - The query bound is the paper's, from a single random flip (k = 1):
+    query_lb_influence_best holds the proof that no odd k beats it.
+  - Elsewhere k is the number of independently chosen coordinates XORed into
+    the random flip of the flip probability and the displacement bounds; it
+    must be odd.
 
 flip_prob_spectral and oracles.flip_prob_bruteforce are two routes to the
 same probability Pr[f(x) != f(x ^ e_{i_1} ^ .. ^ e_{i_k})]; the verify suite
@@ -93,21 +94,11 @@ def query_lb_influence(rho: float, n: int, eps: float) -> BoundValue:
     return BoundValue(max(0.0, raw), eps >= 0.25 or raw < 0)
 
 
-def query_lb_influence_k(weights: Sequence[int], eps: float, k: int) -> BoundValue:
-    """The odd-k strengthening; at k=1 it reduces exactly to query_lb_influence."""
-    _require_eps(eps)
-    _require_odd(k)
-    se = math.sqrt(eps)
-    decay = float(correlation_decay(weights, k))
-    # >= 0 for every eps >= 0, since |decay| <= 1; >= 1, so raw <= 0, once eps >= 1/4
-    radicand = (1 + 2 * se) / 2 + (1 - 2 * se) / 2 * decay
-    raw = 0.5 * (1 - radicand ** (1 / k)) * (len(weights) - 1)
-    return BoundValue(max(0.0, raw), eps >= 0.25 or raw < 0)
-
-
 def query_lb_influence_best(weights: Sequence[int], eps: float) -> tuple[int, BoundValue]:
     """The best odd k and its bound: k = 1 and the paper's query_lb_influence.
 
+    A random k-flip gives queries >= n/2 * (1 - radicand_k^(1/k)), with
+    radicand_k = (1 + 2 sqrt(eps))/2 + (1 - 2 sqrt(eps))/2 * correlation_decay(weights, k).
     No odd k beats k = 1. For eps < 1/4 the radicand at odd k is E[X^k], where
     X = 1 with probability (1 + 2 sqrt(eps))/2 and X = 1 - 2j/n with
     probability (1 - 2 sqrt(eps))/2 * A_j/4^n. The mass at 1 is at least the
@@ -166,8 +157,6 @@ def displacement_upper_bound(t_queries: int, n: int, k: int) -> float:
 class BoundReport:
     eps: float
     query_influence: BoundValue
-    query_influence_best_k: int
-    query_influence_best: BoundValue
     query_block_sensitivity: float | None
     query_degree: float | None
     degree_influence: float
@@ -181,12 +170,9 @@ def bound_report(
     approx_degree: int | None = None,
 ) -> BoundReport:
     n, rho = len(weights) - 1, float(flip_prob_spectral(weights, 1))
-    best_k, best = query_lb_influence_best(weights, eps)
     return BoundReport(
         eps=eps,
-        query_influence=best,
-        query_influence_best_k=best_k,
-        query_influence_best=best,
+        query_influence=query_lb_influence_best(weights, eps)[1],
         query_block_sensitivity=(
             None if block_sensitivity is None else query_lb_block_sensitivity(block_sensitivity)
         ),
@@ -213,5 +199,4 @@ __all__ = [
     "query_lb_degree",
     "query_lb_influence",
     "query_lb_influence_best",
-    "query_lb_influence_k",
 ]

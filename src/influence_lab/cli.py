@@ -99,10 +99,11 @@ def _bounds_section(report: bounds.BoundReport) -> dict:
             "value": report.query_influence.value,
             "vacuous": report.query_influence.vacuous,
         },
+        # schema 1 still repeats the k = 1 bound here; schema 2 drops it (ROADMAP item 2)
         "query_influence_best": {
-            "k": report.query_influence_best_k,
-            "value": report.query_influence_best.value,
-            "vacuous": report.query_influence_best.vacuous,
+            "k": 1,
+            "value": report.query_influence.value,
+            "vacuous": report.query_influence.vacuous,
         },
         "query_block_sensitivity": report.query_block_sensitivity,
         "query_degree": report.query_degree,

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import dsl, qsim
 from .approxdeg import MultilinearPoly
-from .errors import CapacityError, InputError
+from .bounds import _require_odd
+from .errors import CapacityError
 from .truthtable import TruthTable
 
 BRUTE_FORCE_CAP = 10**8
@@ -177,11 +178,6 @@ def translations_naive(t: TruthTable) -> tuple[int, ...]:
     idx = np.arange(t.size)
     shifted = (bits != bits[idx ^ a] for a in range(t.size))
     return tuple(a for a, differs in enumerate(shifted) if differs.all() or not differs.any())
-
-
-def _require_odd(k: int) -> None:
-    if k < 1 or k % 2 == 0:
-        raise InputError(f"k must be a positive odd integer, got {k}")
 
 
 def _flip_mask(coords) -> int:

@@ -45,8 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import _require_odd
 from .errors import CapacityError, ConsistencyError, InputError
-from .fourier import butterfly
+from .fourier import _butterfly_in_place
 from .truthtable import TruthTable
 
 NORM_TOL = 1e-9
@@ -302,7 +303,7 @@ def oracle_states(state: FourierState, columns=None) -> np.ndarray:
     cols = np.arange(state.layout.dim) if columns is None else np.asarray(columns, dtype=np.int64)
     dense = np.zeros((1 << state.layout.n_index, cols.size), dtype=state.coeffs.dtype)
     dense[state.masks] = state.coeffs[:, cols]
-    return butterfly(dense, dense.dtype)
+    return _butterfly_in_place(dense)
 
 
 def acceptance_probabilities(state: FourierState, accept: frozenset) -> np.ndarray:
@@ -342,8 +343,7 @@ def displacement_statistic(state: FourierState, k: int) -> float:
     Equals sum over masks of (2 - 2(1 - 2|s|/n)^k) * ||coeff_s||^2, which the
     verify suite checks against direct pair enumeration.
     """
-    if k < 1 or k % 2 == 0:
-        raise InputError(f"k must be a positive odd integer, got {k}")
+    _require_odd(k)
     n = state.layout.n_index
     weights = 2.0 - 2.0 * (1.0 - 2.0 * np.bitwise_count(state.masks) / n) ** k
     return float(weights @ _row_norms_sq(state.coeffs))

@@ -131,22 +131,11 @@ def _flip_mismatches(cases):
                     yield f"{table_id(t)} k={k}"
 
 
-def _reduction_mismatches(cases):
-    for t, weights in cases:
-        rho = measures.avg_influence(t)
-        for eps in (0.0, 0.1, 1 / 3):
-            lhs = bounds.query_lb_influence_k(weights, eps, 1).value
-            rhs = bounds.query_lb_influence(float(rho), t.n, eps).value
-            if abs(lhs - rhs) > 1e-12:
-                yield f"{table_id(t)} eps={eps}"
-
-
 def _parity_mismatches(n_max: int):
     for n in range(2, n_max + 1):
         weights = fourier.wht(builtin("parity", n)).weight_profile()
-        for k in (1, 3, 5, 7):
-            if bounds.query_lb_influence_k(weights, 0.0, k).value != n / 2:
-                yield f"n={n} k={k}"
+        if bounds.bound_report(weights, 0.0).query_influence.value != n / 2:
+            yield f"n={n}"
 
 
 def _floor_violations(n_max: int, seed: int, samples: int):
@@ -165,8 +154,7 @@ def suite_bounds(n_max: int, seed: int, samples: int) -> list[Check]:
     cases = [(t, fourier.wht(t).weight_profile()) for t in _tables(n_max, seed, samples)]
     return [
         _check("bounds", "spectral flip probability equals brute force", _flip_mismatches(cases)),
-        _check("bounds", "k=1 bound reduces to the influence bound", _reduction_mismatches(cases)),
-        _check("bounds", "parity bound is exactly n/2 for every odd k", _parity_mismatches(n_max)),
+        _check("bounds", "parity's influence bound is exactly n/2", _parity_mismatches(n_max)),
         _check(
             "bounds",
             "spectral minimax floor never exceeds the exact minimax error",

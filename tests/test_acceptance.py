@@ -89,19 +89,17 @@ def test_criterion_4_iterated_family():
 
 
 def test_criterion_5_bound_coherence(corpus):
-    with criterion(5, "k=1 bound equals influence bound; parity n/2 at every odd k"):
+    with criterion(5, "reported influence bound equals the paper's; parity's is n/2"):
         for tables in corpus.values():
             for t in tables:
                 weights = fourier.wht(t).weight_profile()
                 rho = float(measures.avg_influence(t))
                 for eps in (0.0, 1 / 9, 1 / 3):
-                    general = bounds.query_lb_influence_k(weights, eps, 1).value
-                    main = bounds.query_lb_influence(rho, t.n, eps).value
-                    assert abs(general - main) <= 1e-12
+                    reported = bounds.bound_report(weights, eps).query_influence
+                    assert reported == bounds.query_lb_influence(rho, t.n, eps)
         for n in range(2, 9):
             weights = fourier.wht(builtin("parity", n)).weight_profile()
-            for k in range(1, 16, 2):
-                assert bounds.query_lb_influence_k(weights, 0.0, k).value == n / 2
+            assert bounds.bound_report(weights, 0.0).query_influence.value == n / 2
 
 
 def test_criterion_6_parity_tightness():

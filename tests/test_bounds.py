@@ -17,9 +17,7 @@ from influence_lab.bounds import (
     query_lb_degree,
     query_lb_influence,
     query_lb_influence_best,
-    query_lb_influence_k,
 )
-from influence_lab.dsl import elaborate
 from influence_lab.errors import CapacityError, InputError
 from influence_lab.oracles import flip_prob_bruteforce
 from influence_lab.truthtable import TruthTable, builtin, random_table
@@ -108,28 +106,6 @@ def test_query_lb_monotone_in_eps():
         assert values == sorted(values, reverse=True)
 
 
-def test_query_lb_k1_reduces_to_influence_bound(small_corpus):
-    for t in small_corpus[5][:8]:
-        weights = fourier.wht(t).weight_profile()
-        rho = float(measures.avg_influence(t))
-        for eps in (0.0, 0.04, 1 / 3, 0.6):
-            assert query_lb_influence_k(weights, eps, 1).value == pytest.approx(
-                query_lb_influence(rho, t.n, eps).value, abs=1e-12
-            )
-
-
-def test_query_lb_k_parity_exact():
-    for n in (2, 5, 8):
-        weights = fourier.wht(builtin("parity", n)).weight_profile()
-        for k in range(1, 16, 2):
-            assert query_lb_influence_k(weights, 0.0, k).value == n / 2
-
-
-def test_query_lb_k_constant():
-    weights = fourier.wht(TruthTable(4, 0)).weight_profile()
-    assert query_lb_influence_k(weights, 0.0, 3).value == 0.0
-
-
 def test_influence_bounds_agree_on_vacuity(small_corpus):
     # both forms are 0 at eps >= 1/4, so both must flag it
     tables = [t for ts in small_corpus.values() for t in ts] + [TruthTable(4, 0)]
@@ -138,14 +114,7 @@ def test_influence_bounds_agree_on_vacuity(small_corpus):
         rho = float(measures.avg_influence(t))
         for eps in (0.0, 0.1, 0.25, 1 / 3, 0.6):
             direct = query_lb_influence(rho, t.n, eps)
-            assert query_lb_influence_k(weights, eps, 1).vacuous == direct.vacuous, (str(t), eps)
             assert query_lb_influence_best(weights, eps)[1].vacuous == direct.vacuous
-
-
-def test_query_lb_k_rejects_even():
-    weights = fourier.wht(AND2).weight_profile()
-    with pytest.raises(InputError):
-        query_lb_influence_k(weights, 0.0, 2)
 
 
 def test_query_lb_best_picks_smallest_tie():
@@ -161,22 +130,6 @@ def test_query_lb_best_is_exact_to_the_ulp():
     weights = fourier.wht(builtin("or", 16)).weight_profile()
     exact = 8.973253612459085e-05
     assert abs(query_lb_influence_best(weights, 0.1)[1].value - exact) <= math.ulp(exact)
-
-
-def test_no_odd_k_beats_k1(small_corpus):
-    # the theorem query_lb_influence_best rests on
-    tables = [t for ts in small_corpus.values() for t in ts]
-    for n in range(1, 13):
-        tables += [builtin("parity", n), builtin("and", n), builtin("or", n)]
-        if n % 2:
-            tables.append(builtin("maj", n))
-    tables += [builtin("paper_f", 4), elaborate("compose(maj(3),paper_f)"), elaborate("iterate(paper_f,2)")]
-    for t in tables:
-        weights = fourier.wht(t).weight_profile()
-        for eps in (0.0, 1e-6, 0.01, 0.1, 0.2, 0.2499):
-            k1 = query_lb_influence_k(weights, eps, 1).value
-            for k in range(3, 16, 2):
-                assert query_lb_influence_k(weights, eps, k).value <= k1 + 1e-12, (str(t), eps, k)
 
 
 def test_fixed_form_bounds():
@@ -233,7 +186,6 @@ def test_bound_report_reads_the_counting_rho(small_corpus):
             for eps in (0.0, 0.1, 1 / 3, 0.6):
                 report = bound_report(weights, eps)
                 assert report.query_influence == query_lb_influence(rho, t.n, eps)
-                assert report.query_influence_best == report.query_influence
                 assert report.degree_influence == (degree_lb_influence(rho, t.n, eps) if eps < 0.5 else 0.0)
 
 

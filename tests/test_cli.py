@@ -50,6 +50,8 @@ def test_analyze_schema_and_consistency():
     m, b = report["measures"], report["bounds"]
     assert m["rho"] == "1"
     assert b["query_influence"]["value"] == 4.0  # (1 - 0)/2 * 1 * 8
+    # schema 1 repeats the one influence bound, here where it is not vacuous
+    assert b["query_influence_best"] == {"k": 1, **b["query_influence"]}
     assert report["spectrum"]["degree"] == 8
     # internal cross-consistency
     assert m["avg_sensitivity_float"] == pytest.approx(
@@ -292,8 +294,7 @@ VERIFY_LABELS = [
     "measures: symmetry classes match the brute-force transposition search",
     "measures: translation basis spans the brute-force translations",
     "bounds: spectral flip probability equals brute force",
-    "bounds: k=1 bound reduces to the influence bound",
-    "bounds: parity bound is exactly n/2 for every odd k",
+    "bounds: parity's influence bound is exactly n/2",
     "bounds: spectral minimax floor never exceeds the exact minimax error",
     "qsim: norm and support invariants hold on every run",
     "qsim: Fourier picture matches the direct simulator",
@@ -309,7 +310,7 @@ def test_verify_all_passes(capsys):
     assert "FAIL" not in out
     *lines, summary = out.strip().splitlines()
     assert [line.rsplit("  PASS", 1)[0].rstrip() for line in lines] == VERIFY_LABELS
-    assert summary == "19/19 checks passed"
+    assert summary == "18/18 checks passed"
 
 
 @pytest.mark.parametrize("flag, value", [("--n-max", "1"), ("--samples", "0")])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,20 @@ def test_profile_matches_per_oracle_loop(monkeypatch):
             assert abs(prof.per_oracle[x] - expected) < 1e-12
 
 
+def test_acceptance_probabilities_peak_transforms_in_place():
+    # 17.0 MiB measured: the 8 MiB block of 16 accepting float64 columns, the half-size
+    # scratch, then the squares; transforming a copy of the block peaked at 20.7 MiB
+    alg = grover(16, 1)
+    state = run(alg)
+    tracemalloc.start()
+    try:
+        qsim.acceptance_probabilities(state, alg.accept)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
+
+
 def test_serial_read_capacity():
     with pytest.raises(CapacityError):
         serial_read(random_table(7, 0))
@@ -426,6 +441,8 @@ def test_displacement_matches_enumeration():
             )
     with pytest.raises(InputError):
         displacement_statistic(state, 2)
+    with pytest.raises(InputError):
+        displacement_direct(state, 2)
 
 
 def test_displacement_sandwich_on_runs():
