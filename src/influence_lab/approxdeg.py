@@ -220,6 +220,21 @@ def approx_degree_scan(t: TruthTable, eps: float) -> DegreeScan:
     expansion is optimal; where the certificate is exactly 1/2, t*_d = 1/2,
     since p = 1/2 attains it. That holds at d = 0 for every nonconstant f,
     and at every d < n for parity.
+
+    At d = n - 1 < deg f, t*_d = |c| for c the top coefficient of f's 0/1
+    expansion, at the mask [n] of all variables, and f's expansion cut to
+    degree n - 1 is optimal. Only the character chi_[n] lies above degree
+    n - 1, so every such p has sum_x |f - p| >= |<f - p, chi_[n]>| = 2^n |c|,
+    and max_x |f - p| >= |c|; the cut expansion leaves f - p = c chi_[n],
+    which attains |c| at every x.
+
+    If f is self-dual, f(not x) = 1 - f(x) (every even level of the weight
+    profile is 0, the empty level included), then t*_d = t*_{d-1} at even d,
+    and the scan reuses t*_{d-1} and its polynomial when it has visited
+    d - 1. For p optimal at degree d, q(x) = 1 - p(not x) is optimal too, as
+    q - f = f(not x) - p(not x) at every x. Since max_x |p - f| is convex in
+    p, so is their mean 1/2 + (p(x) - p(not x))/2: 1/2 plus the odd-degree
+    part of p, of degree below d.
     """
     if not 0 <= eps < 0.5:
         raise InputError(f"error probability must be in [0, 0.5), got {eps}")
@@ -231,6 +246,7 @@ def approx_degree_scan(t: TruthTable, eps: float) -> DegreeScan:
     # f's own 0/1 expansion, f = (1 - F)/2 for the sign view F; exact, since its coefficients are dyadic
     expansion = -spec.sums / (2 * size)
     expansion[0] += 0.5
+    self_dual = not any(spec.weight_profile()[::2])
 
     def solved(d: int) -> float:
         if d not in scan.errors:
@@ -240,6 +256,11 @@ def approx_degree_scan(t: TruthTable, eps: float) -> DegreeScan:
                 half = np.zeros(size)
                 half[0] = 0.5  # p = 1/2
                 known = 0.5, MultilinearPoly(t.n, half, d)
+            elif d == t.n - 1:
+                known = abs(float(expansion[-1])), _truncated(t.n, expansion, d)
+            elif self_dual and d % 2 == 0 and d - 1 in scan.errors:
+                below = scan.polynomials[d - 1]
+                known = scan.errors[d - 1], MultilinearPoly(t.n, below.coeffs, d)
             else:
                 known = min_error_at_degree(t, d)
             scan.errors[d], scan.polynomials[d] = known

@@ -4,6 +4,9 @@ Subcommands: analyze, approx-degree, simulate, verify. JSON reports are
 versioned (top-level "schema": 1) and byte-deterministic for identical
 invocations: keys are sorted, floats use repr, and wall-clock timings are
 only included when --timing is passed since they would break determinism.
+The text is that of json.dumps(report, indent=2, sort_keys=True), written by
+_report_text, which formats each distinct float of a float list once: a
+per-oracle error profile of 2^n floats holds only a few distinct values.
 
 Exit codes: 0 success, 1 verification, solver or internal cross-check
 failure, 2 usage error, 3 capacity refusal.
@@ -13,9 +16,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -254,6 +258,81 @@ def cmd_simulate(args) -> dict:
     return report
 
 
+def _float_text(x: float) -> str:
+    """json's text for a float: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _float_texts(values: list | tuple) -> list[str]:
+    """_float_text of every value, each distinct one formatted once.
+
+    Distinct by bit pattern: -0.0 == 0.0 (and they hash alike), yet their
+    texts differ.
+    """
+    bits = np.array(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array([_float_text(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _report_text(report) -> str:
+    """The bytes of json.dumps(report, indent=2, sort_keys=True).
+
+    Writes what a report holds: dicts with str keys, lists, tuples, str,
+    None, bools, ints and floats; anything else raises TypeError. A list of
+    floats only is written through _float_texts.
+    """
+    out: list[str] = []
+
+    def put(value, newline: str) -> None:
+        if isinstance(value, str):
+            out.append(encode_basestring_ascii(value))
+        elif value is None:
+            out.append("null")
+        elif value is True:
+            out.append("true")
+        elif value is False:
+            out.append("false")
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        elif isinstance(value, float):
+            out.append(_float_text(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                out.append("[]")
+                return
+            inner = newline + "  "
+            if set(map(type, value)) == {float}:
+                out.append("[" + inner + ("," + inner).join(_float_texts(value)))
+            else:
+                for i, item in enumerate(value):
+                    out.append(("," if i else "[") + inner)
+                    put(item, inner)
+            out.append(newline + "]")
+        elif isinstance(value, dict):
+            if not value:
+                out.append("{}")
+                return
+            inner = newline + "  "
+            for i, (key, item) in enumerate(sorted(value.items())):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out.append(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+                put(item, inner)
+            out.append(newline + "}")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    put(report, "\n")
+    return "".join(out)
+
+
 def cmd_verify(args) -> int:
     from . import verify
 
@@ -342,7 +421,7 @@ def main(argv=None) -> int:
     except (SolverError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_report_text(report) + "\n")
     return EXIT_OK
 
 

@@ -173,7 +173,8 @@ def test_eps_zero_scan_solves_only_the_degree_below(solves):
         solves.clear()
         scan = approx_degree_scan(t, 0.0)
         assert scan.degree == scan.exact_degree == deg
-        assert solves == [deg - 1]
+        # t*_{n-1} is known without a solve
+        assert solves == ([] if deg == t.n else [deg - 1])
         assert scan.errors[deg] == 0.0 and scan.errors[deg - 1] > 0.0
         assert max_abs_error(scan.polynomial, t) == 0.0
 
@@ -184,8 +185,9 @@ def test_scan_walks_up_from_the_spectral_floor(solves):
     scan = approx_degree_scan(random_table(9, 2), 0.3333)
     assert (scan.degree, solves, sorted(scan.errors)) == (5, [5, 4], [4, 5])
     solves.clear()
+    # maj(7) is self-dual, so t*_2 is t*_1, with no solve
     scan = approx_degree_scan(builtin("maj", 7), 0.3333)
-    assert (scan.degree, solves) == (3, [1, 2, 3])
+    assert (scan.degree, solves) == (3, [1, 3])
 
 
 def test_scan_knows_t0_without_highs(solves, monkeypatch):
@@ -197,8 +199,9 @@ def test_scan_knows_t0_without_highs(solves, monkeypatch):
 
     monkeypatch.setattr(approxdeg, "linprog", recording)
     scan = approx_degree_scan(OR2, 1 / 3)
-    assert (scan.degree, solves, len(calls)) == (1, [1], 1)
-    assert scan.errors[0] == 0.5
+    # d = 1 = n - 1: t*_1 is the top coefficient's magnitude, 1/4
+    assert (scan.degree, solves, len(calls)) == (1, [], 0)
+    assert scan.errors == {0: 0.5, 1: 0.25}
     assert scan.polynomials[0].coeffs.tolist() == [0.5, 0.0, 0.0, 0.0]
     assert max_abs_error(scan.polynomials[0], OR2) == 0.5
 
@@ -212,6 +215,31 @@ def test_scan_knows_a_certificate_of_one_half(solves):
         below = scan.polynomials[n - 1]
         assert below.degree == n - 1 and np.flatnonzero(below.coeffs).tolist() == [0]
         assert max_abs_error(below, t) == 0.5
+
+
+def test_scan_knows_the_degree_below_n(solves):
+    # above n - 1 lies chi_[n] alone, so t*_{n-1} = |c| for f's top 0/1 coefficient c
+    for seed in range(3):
+        t = random_table(7, 2400 + seed)
+        scan = approx_degree_scan(t, 0.0)
+        assert scan.exact_degree == t.n and solves == []
+        c = -int(wht(t).sums[-1]) / 2 ** (t.n + 1)
+        lp_value, _ = min_error_at_degree(t, t.n - 1)
+        assert scan.errors[t.n - 1] == abs(c) == pytest.approx(lp_value, abs=FEAS_TOL)
+        below = scan.polynomials[t.n - 1]
+        assert below.degree == t.n - 1
+        # f - p = c chi_[n]: the error is |c| at every input
+        assert np.all(np.abs(below.values() - t.bits()) == abs(c))
+
+
+def test_self_dual_even_degree_reuses_the_odd_one_below():
+    t = builtin("maj", 7)
+    assert not any(wht(t).weight_profile()[::2])  # self-dual
+    scan = approx_degree_scan(t, 0.3333)
+    assert scan.errors[2] == scan.errors[1] == pytest.approx(min_error_at_degree(t, 2)[0], abs=FEAS_TOL)
+    reused = scan.polynomials[2]
+    assert reused.degree == 2 and np.array_equal(reused.coeffs, scan.polynomials[1].coeffs)
+    assert max_abs_error(reused, t) <= scan.errors[2] + FEAS_TOL
 
 
 @pytest.fixture(scope="module")

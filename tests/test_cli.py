@@ -365,3 +365,68 @@ def test_consistency_error_exits_with_failure(monkeypatch, capsys):
     assert code == cli.EXIT_FAIL == 1
     assert err.startswith("error: state norm drifted")
     assert "Traceback" not in err
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [0.0, -0.0],
+        [-0.0, 0.0],
+        [NAN, NAN],
+        [math.inf, -math.inf, 0.5],
+        -0.0,
+        NAN,
+        [],
+        {},
+        [[], {}, [[]]],
+        {"a": {}, "b": [{}, []]},
+        "café ≤ \U0001d400",
+        ["quote \" backslash \\ tab \t nul \x00 newline \n"],
+        [0.25, True, 0.5],
+        [2**63, -(2**64) - 1, 0],
+        (0.1, 0.2, (0.3, 0.1)),
+        {"z": [0.1, 0.1, 1e300, 5e-324], "a": None, "m": [None, False, 1, "x", 1.5]},
+    ],
+)
+def test_report_text_is_json_dumps(value):
+    assert cli._report_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [[{1}], {"a": object()}, {1: 0.5}])
+def test_report_text_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        cli._report_text(value)
+
+
+def test_cli_reports_are_json_dumps_text(tmp_path):
+    path = tmp_path / "t.json"
+    write_table(random_table(5, 11), path)
+    commands = [
+        ("analyze", "--expr", "parity(8)", "--eps", "0"),
+        ("analyze", "--expr", "maj(x0, x1, x2)", "--approx-degree", "--dump-spectrum"),
+        ("analyze", "--expr", "paper_f(x0,x1,x2,x3)", "--eps", "0.1"),
+        ("analyze", "--expr", "or(6)", "--no-bs"),
+        ("analyze", "--expr", "compose(maj(3),paper_f)", "--eps", "0.01"),
+        ("analyze", "--table", str(path), "--approx-degree", "--eps", "0.2"),
+        ("analyze", "--expr", "and(5)", "--bs-budget", "0"),
+        ("approx-degree", "--expr", "or(2)"),
+        ("approx-degree", "--expr", "maj(5)", "--eps", "0"),
+        ("approx-degree", "--expr", "parity(5)", "--eps", "0.1"),
+        ("approx-degree", "--table", str(path), "--eps", "0.05"),
+        ("approx-degree", "--expr", "maj(7)", "--eps", "0.3333"),
+        ("simulate", "--algorithm", "grover", "--n", "5"),
+        ("simulate", "--algorithm", "grover", "--n", "8", "--iterations", "2"),
+        ("simulate", "--algorithm", "grover", "--n", "3", "--iterations", "0"),
+        ("simulate", "--algorithm", "parity", "--n", "6"),
+        ("simulate", "--algorithm", "parity", "--n", "10"),
+        ("simulate", "--algorithm", "serial", "--n", "4", "--expr", "paper_f(x0,x1,x2,x3)"),
+        ("simulate", "--algorithm", "serial", "--n", "5", "--table", str(path)),
+        ("simulate", "--algorithm", "grover", "--n", "4", "--expr", "and(4)"),
+    ]
+    for argv in commands:
+        code, out = run_cli(*argv)
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv

@@ -369,11 +369,39 @@ def test_profile_matches_per_oracle_loop(monkeypatch):
         accept = sorted(alg.accept)
         calls.clear()
         prof = profile_state(state, alg.accept, t)
-        assert len(calls) > 1 and sum(calls) == len(accept)
+        # only the accepting columns nonzero at some mask are transformed
+        reached = np.count_nonzero(np.any(state.coeffs[:, accept] != 0, axis=0))
+        assert len(calls) > 1 and sum(calls) == reached
         for x in range(1 << t.n):
             p1 = float(np.sum(np.abs(reconstruct(state, x)[accept]) ** 2))
             expected = 1.0 - p1 if t.bit_at(x) else p1
             assert abs(prof.per_oracle[x] - expected) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "alg, table, transformed",
+    [
+        (deutsch_parity(12), builtin("parity", 12), 2),
+        (serial_read(random_table(6, 7)), random_table(6, 7), 33),
+    ],
+    ids=["parity12", "serial6"],
+)
+def test_profile_skips_columns_the_state_never_reaches(monkeypatch, alg, table, transformed):
+    calls = []
+
+    def counted(state, columns=None):
+        calls.append(len(columns))
+        return oracle_states(state, columns)
+
+    monkeypatch.setattr(qsim, "oracle_states", counted)
+    state = run(alg)
+    prof = profile_state(state, alg.accept, table)
+    assert sum(calls) == transformed
+    accept = sorted(alg.accept)
+    for x in range(1 << table.n):
+        p1 = float(np.sum(np.abs(simulate_direct(alg, x)[accept]) ** 2))
+        expected = 1.0 - p1 if table.bit_at(x) else p1
+        assert abs(prof.per_oracle[x] - expected) < 1e-12
 
 
 def test_acceptance_probabilities_peak_transforms_in_place():
